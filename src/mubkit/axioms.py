@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cplx
+from .cplx import residual_entry as _entry
 from .characters import (
     ControlledHadamard,
     additive_character_matrix,
@@ -206,10 +207,6 @@ def ring_structure_tensors(d: int) -> StructureTensors:
 
 
 # -- report helpers ----------------------------------------------------------
-
-def _entry(equation: str, residual: float, tol: float) -> dict:
-    return {"equation": equation, "residual": float(residual), "pass": bool(residual < tol)}
-
 
 def _diff(a, b) -> float:
     return cplx.max_abs(np.asarray(a) - np.asarray(b))

@@ -92,20 +92,23 @@ def _matrix_of(h) -> np.ndarray:
     return h.matrix if isinstance(h, Hadamard) else cplx.as_matrix(h)
 
 
-def is_hadamard(a, tol: float = cplx.DEFAULT_TOL) -> bool:
-    """Both Hadamard conditions within tol: unit-modulus entries and
-    H H† = H† H = d I."""
+def hadamard_residuals(a, tol: float = cplx.DEFAULT_TOL) -> list:
+    """Residuals of both Hadamard conditions: unit-modulus entries, and
+    H H† = H† H = d I (the worse of the two products)."""
     m = _matrix_of(a)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"Hadamard test requires a square matrix, got {m.shape}")
-    d = m.shape[0]
-    if cplx.max_abs(np.abs(m) - 1.0) >= tol:
-        return False
-    eye = d * np.eye(d)
-    return (
-        cplx.max_abs(m @ m.conj().T - eye) < tol
-        and cplx.max_abs(m.conj().T @ m - eye) < tol
-    )
+    eye = m.shape[0] * np.eye(m.shape[0])
+    gram = max(cplx.max_abs(m @ m.conj().T - eye), cplx.max_abs(m.conj().T @ m - eye))
+    return [
+        cplx.residual_entry("hadamard_unit_modulus", cplx.max_abs(np.abs(m) - 1.0), tol),
+        cplx.residual_entry("hadamard_gram", gram, tol),
+    ]
+
+
+def is_hadamard(a, tol: float = cplx.DEFAULT_TOL) -> bool:
+    """Every residual of :func:`hadamard_residuals` below ``tol``."""
+    return all(r["pass"] for r in hadamard_residuals(a, tol))
 
 
 def is_dephased(a, tol: float = cplx.DEFAULT_TOL) -> bool:
@@ -119,16 +122,22 @@ def is_dephased(a, tol: float = cplx.DEFAULT_TOL) -> bool:
     )
 
 
-def is_controlled_hadamard(h: ControlledHadamard, tol: float = cplx.DEFAULT_TOL) -> bool:
-    """Every indexed member is a Hadamard (the family condition reduces to
-    this because control basis states span the control space)."""
+def controlled_hadamard_residuals(h: ControlledHadamard, tol: float = cplx.DEFAULT_TOL) -> list:
+    """The worst Hadamard residual over the indexed members (the family
+    condition reduces to every member being a Hadamard because control
+    basis states span the control space)."""
     d = h.d
+    worst = 0.0
     for member in h.members:
         if member.matrix.shape != (d, d):
             raise ShapeMismatch("controlled family members have mixed shapes")
-        if not is_hadamard(member.matrix, tol):
-            return False
-    return True
+        worst = max(worst, *(r["residual"] for r in hadamard_residuals(member.matrix, tol)))
+    return [cplx.residual_entry("controlled_hadamard", worst, tol)]
+
+
+def is_controlled_hadamard(h: ControlledHadamard, tol: float = cplx.DEFAULT_TOL) -> bool:
+    """Every member a Hadamard within ``tol``."""
+    return all(r["pass"] for r in controlled_hadamard_residuals(h, tol))
 
 
 def controlled_from_copies(h, control_dim: int) -> ControlledHadamard:

@@ -13,20 +13,18 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import axioms, cplx, manifests
 from .characters import (
     additive_character_matrix,
-    is_controlled_hadamard,
-    is_hadamard,
+    controlled_hadamard_residuals,
+    hadamard_residuals,
     multiplicative_character_matrix,
 )
-from .construct import ueb_from_field, ueb_from_mub
+from .construct import partition_residuals, ueb_from_field, ueb_from_mub, ueb_residuals
 from .errors import DephasingWarning, MubkitError
 from .gf import new_field
 from .manifests import ManifestError
-from .mub import is_maximal_mub_family, mub_from_ueb
+from .mub import mub_from_ueb, mub_residuals
 
 USAGE_OR_IO = 2
 VERIFY_FAIL = 1
@@ -77,75 +75,31 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _residual_lines(kind, obj, tol):
-    """(results, ok) for a loaded manifest object."""
+def _residuals(kind, obj, tol):
+    """Residual entries of a loaded manifest object."""
     if kind == "field":
         manifests.field_from_manifest(obj)  # raises if p is not prime or the modulus is reducible
-        return [{"equation": "field_valid", "residual": 0.0, "pass": True}], True
+        return [{"equation": "field_valid", "residual": 0.0, "pass": True}]
     if kind == "hadamard":
-        h = manifests.hadamard_from_manifest(obj)
-        m = h.matrix
-        d = h.d
-        modulus = cplx.max_abs(np.abs(m) - 1.0)
-        gram = max(
-            cplx.max_abs(m @ m.conj().T - d * np.eye(d)),
-            cplx.max_abs(m.conj().T @ m - d * np.eye(d)),
-        )
-        ok = is_hadamard(m, tol)
-        return [
-            {"equation": "hadamard_unit_modulus", "residual": float(modulus), "pass": modulus < tol},
-            {"equation": "hadamard_gram", "residual": float(gram), "pass": gram < tol},
-        ], ok
+        return hadamard_residuals(manifests.hadamard_from_manifest(obj), tol)
     if kind == "controlled_hadamard":
-        ch = manifests.controlled_from_manifest(obj)
-        ok = is_controlled_hadamard(ch, tol)
-        return [{"equation": "controlled_hadamard", "residual": 0.0 if ok else 1.0, "pass": ok}], ok
+        return controlled_hadamard_residuals(manifests.controlled_from_manifest(obj), tol)
     if kind == "mub":
-        family = manifests.mub_from_manifest(obj)
-        d = family.d
-        worst = 0.0
-        for i in range(d + 1):
-            for m in range(i + 1, d + 1):
-                overlap = np.abs(family.bases[i].conj().T @ family.bases[m]) ** 2
-                worst = max(worst, cplx.max_abs(overlap - 1.0 / d))
-        ok = is_maximal_mub_family(family, tol)
-        return [{"equation": "maximal_mub_overlaps", "residual": float(worst), "pass": ok}], ok
+        return mub_residuals(manifests.mub_from_manifest(obj), tol)
     if kind == "ueb":
         ueb = manifests.ueb_from_manifest(obj)
-        d = ueb.d
-        flat = ueb.flat()
-        eye = np.eye(d)
-        unitarity = max(cplx.max_abs(u.conj().T @ u - eye) for u in flat)
-        gram = np.einsum("aij,bij->ab", flat.conj(), flat)
-        trace_law = cplx.max_abs(gram - d * np.eye(d * d))
-        commutator = 0.0
-        classes = [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]
-        for ops in classes:
-            for i in range(len(ops)):
-                for j in range(i + 1, len(ops)):
-                    commutator = max(commutator, cplx.max_abs(ops[i] @ ops[j] - ops[j] @ ops[i]))
-        identity_residual = cplx.max_abs(ueb.op(0, 0) - eye)
-        results = [
-            {"equation": "ueb_unitarity", "residual": float(unitarity), "pass": unitarity < tol},
-            {"equation": "ueb_trace_law", "residual": float(trace_law), "pass": trace_law < tol},
-            {"equation": "ueb_identity_slot", "residual": float(identity_residual),
-             "pass": identity_residual < tol},
-            {"equation": "ueb_class_commutators", "residual": float(commutator),
-             "pass": commutator < tol},
-        ]
-        return results, all(r["pass"] for r in results)
+        return ueb_residuals(ueb, tol) + partition_residuals(ueb, tol)
     if kind == "report":
-        results = obj.get("results", [])
-        return results, all(r.get("pass") for r in results)
-    raise ManifestError(f"unknown manifest kind {obj.get('kind')!r}")
+        return manifests.report_from_manifest(obj, tol)
+    raise ManifestError(f"unknown manifest kind {kind!r}")
 
 
 def cmd_verify(args) -> int:
     obj = manifests.load_manifest(args.path)
-    results, ok = _residual_lines(obj["kind"], obj, args.tol)
+    results = _residuals(obj["kind"], obj, args.tol)
     for r in results:
         print(f"{r['equation']}: residual {r['residual']:.3e} {'PASS' if r['pass'] else 'FAIL'}")
-    return 0 if ok else VERIFY_FAIL
+    return 0 if all(r["pass"] for r in results) else VERIFY_FAIL
 
 
 def cmd_theta(args) -> int:

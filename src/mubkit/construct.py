@@ -1,12 +1,15 @@
 """Partitioned unitary error bases: construction from a finite field, from
-a MUB family plus Hadamard data, and from a Latin square; verification of
-the UEB and partition laws; eigenvalue-table extraction; conjugation.
+a MUB family plus Hadamard data, and from a Latin square; the UEB and
+partition laws as residual reports; eigenvalue-table extraction;
+conjugation.
 
-Partition convention, fixed positionally rather than by labels: in the d x d
-operator table ``ops[x][a]``, the identity sits at (0, 0), the distinguished
-commuting class C_* consists of the a = 0 column for x != 0, and class C_x
-consists of row x with a != 0. Each class therefore has exactly d-1 members
-and, together with the identity, forms a maximal commuting set.
+An operator table is one complex128 array ``ops`` of shape (d, d, d, d):
+``ops[x, a]`` is the operator U_{x,a}. Partition convention, fixed
+positionally rather than by labels: the identity sits at (0, 0), the
+distinguished commuting class C_* consists of the a = 0 column for x != 0,
+and class C_x consists of row x with a != 0. Each class therefore has
+exactly d-1 members and, together with the identity, forms a maximal
+commuting set.
 """
 
 from __future__ import annotations
@@ -43,38 +46,39 @@ from .mub import MubFamily, is_maximal_mub_family, mub_from_ueb
 @dataclass
 class PartitionedUeb:
     """d x d table of d x d unitaries with the positional partition
-    described in the module docstring."""
+    described in the module docstring. ``ops`` may be given as a (d, d, d, d)
+    array or as nested rows of matrices; it is stored as the array, and
+    every accessor returns a view of it."""
 
     d: int
-    ops: list
+    ops: np.ndarray
 
     def __post_init__(self):
-        if len(self.ops) != self.d:
-            raise ShapeMismatch(f"expected {self.d} rows of operators, got {len(self.ops)}")
-        table = []
-        for row in self.ops:
-            if len(row) != self.d:
-                raise ShapeMismatch(f"expected {self.d} operators per row, got {len(row)}")
-            table.append([cplx.as_matrix(u) for u in row])
-            for u in table[-1]:
-                if u.shape != (self.d, self.d):
-                    raise ShapeMismatch(f"operator has shape {u.shape}, expected {(self.d, self.d)}")
-        self.ops = table
+        want = (self.d,) * 4
+        try:
+            ops = np.ascontiguousarray(self.ops, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+            raise ShapeMismatch(f"operator table is not a {want} array: {exc}") from exc
+        if ops.shape != want:
+            raise ShapeMismatch(f"operator table has shape {ops.shape}, expected {want}")
+        if not np.all(np.isfinite(ops)):
+            raise ShapeMismatch("operator table contains non-finite entries")
+        self.ops = ops
 
     def op(self, x: int, a: int) -> np.ndarray:
-        return self.ops[x][a]
+        return self.ops[x, a]
 
-    def class_star(self) -> list:
+    def class_star(self) -> np.ndarray:
         """The d-1 operators U_{x,0}, x != 0."""
-        return [self.ops[x][0] for x in range(1, self.d)]
+        return self.ops[1:, 0]
 
-    def class_ops(self, x: int) -> list:
+    def class_ops(self, x: int) -> np.ndarray:
         """The d-1 operators U_{x,a}, a != 0."""
-        return [self.ops[x][a] for a in range(1, self.d)]
+        return self.ops[x, 1:]
 
     def flat(self) -> np.ndarray:
         """(d*d, d, d) stack in row-major (x, a) order."""
-        return np.stack([self.ops[x][a] for x in range(self.d) for a in range(self.d)])
+        return self.ops.reshape(self.d * self.d, self.d, self.d)
 
 
 def ueb_from_field(f: FiniteField) -> PartitionedUeb:
@@ -93,20 +97,11 @@ def ueb_from_field(f: FiniteField) -> PartitionedUeb:
     chi = additive_character_matrix(f).matrix
     add = f.add_table
     mul = f.mul_table
-    ops = []
-    for x in range(d):
-        row = []
-        for a in range(d):
-            u = np.zeros((d, d), dtype=np.complex128)
-            if a == 0:
-                for i in range(d):
-                    u[add[i, x], i] = 1.0
-            else:
-                shift = mul[a, x]
-                for i in range(d):
-                    u[add[i, shift], i] = chi[1, mul[i, a]]
-            row.append(u)
-        ops.append(row)
+    x, a, i = np.ix_(range(d), range(d), range(d))
+    shift = np.where(a == 0, x, mul[a, x])
+    phase = np.where(a == 0, 1.0, chi[1, mul[i, a]])
+    ops = np.zeros((d, d, d, d), dtype=np.complex128)
+    ops[x, a, add[i, shift], i] = phase
     return PartitionedUeb(d, ops)
 
 
@@ -123,13 +118,14 @@ def is_latin_square(square) -> bool:
     return True
 
 
-def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> list:
+def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> np.ndarray:
     """Shift-and-multiply operator table V_{i,j}|k> = H[i][k] |L[k][j]>.
 
     ``hadamards`` is a single Hadamard (used for every shift) or a family
     indexed by the shift column j. Unitarity comes from the Latin-square
     columns and unit-modulus phases; the trace law from Hadamard row
-    orthogonality. Returns a raw d x d table (no partition is implied).
+    orthogonality. Returns the raw (d, d, d, d) table ``[i, j]`` (no
+    partition is implied).
     """
     s = np.asarray(square, dtype=np.int64)
     if not is_latin_square(s):
@@ -147,16 +143,10 @@ def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> list
         if h.shape != (d, d) or not is_hadamard(h, tol):
             raise NotHadamard("shift-and-multiply phase matrix fails the Hadamard laws")
 
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            v = np.zeros((d, d), dtype=np.complex128)
-            h = members[j]
-            for k in range(d):
-                v[s[k, j], k] = h[i, k]
-            row.append(v)
-        table.append(row)
+    h = np.stack(members)
+    i, j, k = np.ix_(range(d), range(d), range(d))
+    table = np.zeros((d, d, d, d), dtype=np.complex128)
+    table[i, j, s[k, j], k] = h[j, i, k]
     return table
 
 
@@ -217,18 +207,13 @@ def ueb_from_mub(family: MubFamily, controlled: ControlledHadamard, g,
         )
 
     star = family.basis("*")
-    ops = []
+    ops = np.empty((d, d, d, d), dtype=np.complex128)
     for x in range(d):
         bx = family.basis(x)
         hx = controlled.member(x)
-        row = []
-        for a in range(d):
-            if a == 0:
-                u = (star * g[:, x]) @ star.conj().T
-            else:
-                u = (bx * hx[:, a]) @ bx.conj().T
-            row.append(u)
-        ops.append(row)
+        ops[x, 0] = (star * g[:, x]) @ star.conj().T
+        for a in range(1, d):
+            ops[x, a] = (bx * hx[:, a]) @ bx.conj().T
     return PartitionedUeb(d, ops)
 
 
@@ -248,7 +233,7 @@ def eigendata(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL, seed: int = 0)
         if cplx.max_abs(u - np.diag(np.diag(u))) >= tol:
             raise NotCanonicalForm("distinguished class is not diagonal")
 
-    family = mub_from_ueb(ueb, tol, seed)
+    family = mub_from_ueb(ueb, tol, seed, validate=False)  # validated above
     g = np.empty((d, d), dtype=np.complex128)
     for x in range(d):
         g[:, x] = np.diag(ueb.op(x, 0))
@@ -269,53 +254,55 @@ def conjugate_ueb(ueb: PartitionedUeb, w, tol: float = cplx.DEFAULT_TOL) -> Part
     if not cplx.is_unitary(w, tol):
         raise NotUnitary("conjugating matrix is not unitary within tolerance")
     wd = w.conj().T
-    return PartitionedUeb(
-        ueb.d, [[wd @ ueb.op(x, a) @ w for a in range(ueb.d)] for x in range(ueb.d)]
-    )
+    ops = np.empty_like(ueb.ops)
+    for x in range(ueb.d):
+        ops[x] = wd @ ueb.ops[x] @ w
+    return PartitionedUeb(ueb.d, ops)
 
 
-def _as_flat_table(table):
-    """(d*d, d, d) stack plus d from either a PartitionedUeb or a raw table."""
-    if isinstance(table, PartitionedUeb):
-        return table.flat(), table.d
-    rows = [[cplx.as_matrix(u) for u in row] for row in table]
-    d = len(rows)
-    for row in rows:
-        if len(row) != d:
-            raise ShapeMismatch("operator table is not square")
-        for u in row:
-            if u.shape != (d, d):
-                raise ShapeMismatch(f"operator has shape {u.shape}, expected {(d, d)}")
-    return np.stack([u for row in rows for u in row]), d
+def ueb_residuals(table, tol: float = cplx.DEFAULT_TOL) -> list:
+    """Residuals of the UEB laws: all d^2 operators unitary, and
+    tr(U† U') = d * delta under the flat index pairing (the trace law).
+    ``table`` is a :class:`PartitionedUeb` or anything its constructor
+    accepts."""
+    if not isinstance(table, PartitionedUeb):
+        table = PartitionedUeb(len(table), table)
+    d = table.d
+    eye = np.eye(d)
+    unitarity = max(cplx.max_abs(u.conj().T @ u - eye) for u in table.flat())
+    f = table.ops.reshape(d * d, d * d)
+    trace_law = cplx.max_abs(f.conj() @ f.T - d * np.eye(d * d))
+    return [
+        cplx.residual_entry("ueb_unitarity", unitarity, tol),
+        cplx.residual_entry("ueb_trace_law", trace_law, tol),
+    ]
+
+
+def partition_residuals(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL) -> list:
+    """Residuals of the partition laws: identity at (0,0), and every class
+    (the distinguished one and each row x) pairwise commuting. Class sizes
+    d-1 are structural in the table. Each member is checked against the
+    later members of its class, so no temporary exceeds one class."""
+    d = ueb.d
+    commutator = 0.0
+    for ops in [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]:
+        for i in range(len(ops) - 1):
+            u, rest = ops[i], ops[i + 1:]
+            commutator = max(commutator, cplx.max_abs(u @ rest - rest @ u))
+    return [
+        cplx.residual_entry("ueb_identity_slot", cplx.max_abs(ueb.op(0, 0) - np.eye(d)), tol),
+        cplx.residual_entry("ueb_class_commutators", commutator, tol),
+    ]
 
 
 def is_ueb(table, tol: float = cplx.DEFAULT_TOL) -> bool:
-    """All d^2 operators unitary and tr(U† U') = d * delta under the flat
-    index pairing (the trace law)."""
-    flat, d = _as_flat_table(table)
-    eye = np.eye(d)
-    for u in flat:
-        if cplx.max_abs(u.conj().T @ u - eye) >= tol:
-            return False
-    gram = np.einsum("aij,bij->ab", flat.conj(), flat)
-    return cplx.max_abs(gram - d * np.eye(d * d)) < tol
+    """Every residual of :func:`ueb_residuals` below ``tol``."""
+    return all(r["pass"] for r in ueb_residuals(table, tol))
 
 
 def is_partitioned_ueb(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL) -> bool:
-    """UEB laws plus: identity at (0,0), the distinguished class pairwise
-    commuting, and every class x pairwise commuting (class sizes d-1 are
-    structural in the table)."""
+    """Every residual of :func:`ueb_residuals` and
+    :func:`partition_residuals` below ``tol``."""
     if not isinstance(ueb, PartitionedUeb):
         ueb = PartitionedUeb(len(ueb), ueb)
-    if not is_ueb(ueb, tol):
-        return False
-    d = ueb.d
-    if cplx.max_abs(ueb.op(0, 0) - np.eye(d)) >= tol:
-        return False
-    classes = [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]
-    for ops in classes:
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if not cplx.commutes(ops[i], ops[j], tol):
-                    return False
-    return True
+    return is_ueb(ueb, tol) and all(r["pass"] for r in partition_residuals(ueb, tol))

@@ -1,13 +1,10 @@
 """Dense complex linear algebra for small matrices.
 
-Matrices are plain ``numpy`` arrays of complex128. The module supplies the
-composition primitives used everywhere else, unitarity/commutation
-predicates, a cyclic Jacobi Hermitian eigensolver, and simultaneous
+Matrices are plain ``numpy`` arrays of complex128. The module supplies
+unitarity/commutation predicates, the residual entry every law check
+reports, a Hermitian eigensolver (LAPACK ``eigh``), and simultaneous
 diagonalization of commuting unitary families via a seeded random Hermitian
 combination.
-
-All problem sizes in this package are tiny (d <= 64 in tests, d <= 256
-conceivable), so clarity wins over asymptotics throughout.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DegenerateFamily,
-    NoConvergence,
     NotCommuting,
     NotHermitian,
     NotUnitary,
@@ -27,8 +23,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+HERMITIAN_TOL = 1e-12
 SIMDIAG_RETRIES = 8
 
 
@@ -41,29 +36,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with index convention (i, j) -> i * cols_b + j."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128)
 
@@ -71,6 +43,12 @@ def identity(d: int) -> np.ndarray:
 def max_abs(a) -> float:
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+
+
+def residual_entry(equation: str, residual: float, tol: float) -> dict:
+    """One law check as every report carries it: the law passes iff its
+    residual is below ``tol``."""
+    return {"equation": equation, "residual": float(residual), "pass": bool(residual < tol)}
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
@@ -96,65 +74,18 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eig_hermitian(a, tol: float = JACOBI_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below ``tol``;
-    raises :class:`NoConvergence` after 100 sweeps (never observed for the
-    sizes this package targets) and :class:`NotHermitian` when the input is
-    not Hermitian within ``tol``.
+def eig_hermitian(a, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh`` on its
+    symmetrized part; raises :class:`NotHermitian` when the input is not
+    Hermitian within ``tol``.
     """
     a = as_matrix(a)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"eigendecomposition requires a square matrix, got {a.shape}")
     if max_abs(a - a.conj().T) > max(tol, 1e-12):
         raise NotHermitian(f"matrix deviates from Hermitian by {max_abs(a - a.conj().T):.3g}")
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=np.complex128)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < tol / max(n, 1) / 10.0:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0)) if tau != 0.0 else 1.0
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # columns: [p] <- c*[p] - s*conj(phase)*[q]; [q] <- s*phase*[p] + c*[q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - s * np.conj(phase) * col_q
-                v[:, q] = s * phase * col_p + c * col_q
-    else:
-        if _offdiag_norm(a) >= tol:
-            raise NoConvergence(
-                f"Jacobi did not reach {tol:.1e} in {JACOBI_MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {_offdiag_norm(a):.3g})"
-            )
-
-    values = np.diag(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def phase_normalize(basis, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -217,7 +148,7 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
         a = np.zeros((d, d), dtype=np.complex128)
         for k in range(len(mats)):
             a += c[k] * herm[k] + r[k] * skew[k]
-        decomp = eig_hermitian(a, JACOBI_TOL)
+        decomp = eig_hermitian(a, HERMITIAN_TOL)
         w = decomp.vectors
         if _all_diagonal(mats, w, tol):
             return phase_normalize(w, tol)

@@ -41,10 +41,6 @@ class NotHermitian(MubkitError):
     """Matrix is not Hermitian within tolerance."""
 
 
-class NoConvergence(MubkitError):
-    """The Jacobi sweep budget was exhausted before reaching tolerance."""
-
-
 class NotUnitary(MubkitError):
     """Matrix is not unitary within tolerance."""
 

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from . import cplx
 from .characters import ControlledHadamard, Hadamard
 from .construct import PartitionedUeb
 from .errors import MubkitError
@@ -158,6 +159,30 @@ def _expect(obj: dict, kind: str) -> None:
         raise ManifestError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
 
 
+def _field(obj, key: str, where: str):
+    """``obj[key]``, or a ManifestError naming ``where.key``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ManifestError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _count(obj: dict, key: str) -> int:
+    """A positive integer field such as ``dimension``."""
+    n = _field(obj, key, f"{obj['kind']} manifest")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ManifestError(f"{obj['kind']} manifest field {key!r} must be a positive integer, got {n!r}")
+    return n
+
+
+def _entries(obj: dict, key: str, want: int) -> list:
+    """A list field that must hold exactly ``want`` entries."""
+    entries = _field(obj, key, f"{obj['kind']} manifest")
+    if not isinstance(entries, list) or len(entries) != want:
+        got = len(entries) if isinstance(entries, list) else type(entries).__name__
+        raise ManifestError(f"{obj['kind']} manifest field {key!r} must list {want} entries, got {got}")
+    return entries
+
+
 def field_from_manifest(obj: dict) -> FiniteField:
     _expect(obj, "field")
     try:
@@ -174,17 +199,19 @@ def hadamard_from_manifest(obj: dict) -> Hadamard:
 
 def controlled_from_manifest(obj: dict) -> ControlledHadamard:
     _expect(obj, "controlled_hadamard")
-    members = [matrix_from_json(m) for m in obj.get("members", [])]
-    if len(members) != int(obj.get("control_dim", -1)):
-        raise ManifestError("control_dim disagrees with member count")
+    members = _entries(obj, "members", _count(obj, "control_dim"))
+    members = [matrix_from_json(m) for m in members]
     return ControlledHadamard(len(members), [Hadamard(m.shape[0], m) for m in members])
 
 
 def mub_from_manifest(obj: dict) -> MubFamily:
     _expect(obj, "mub")
-    d = int(obj["dimension"])
-    entries = obj.get("bases", [])
-    by_label = {e.get("label"): matrix_from_json(e["matrix"]) for e in entries}
+    d = _count(obj, "dimension")
+    entries = _entries(obj, "bases", d + 1)
+    by_label = {
+        _field(e, "label", f"bases[{k}]"): matrix_from_json(_field(e, "matrix", f"bases[{k}]"))
+        for k, e in enumerate(entries)
+    }
     want = ["*"] + [str(x) for x in range(d)]
     if sorted(by_label) != sorted(want):
         raise ManifestError(f"mub manifest must carry labels {want}")
@@ -193,13 +220,37 @@ def mub_from_manifest(obj: dict) -> MubFamily:
 
 def ueb_from_manifest(obj: dict) -> PartitionedUeb:
     _expect(obj, "ueb")
-    d = int(obj["dimension"])
-    table = [[None] * d for _ in range(d)]
-    for entry in obj.get("operators", []):
-        x, a = int(entry["x"]), int(entry["a"])
-        if not (0 <= x < d and 0 <= a < d):
+    d = _count(obj, "dimension")
+    entries = _entries(obj, "operators", d * d)
+    ops = np.empty((d, d, d, d), dtype=np.complex128)
+    seen = np.zeros((d, d), dtype=bool)
+    for k, entry in enumerate(entries):
+        where = f"operators[{k}]"
+        x, a = _field(entry, "x", where), _field(entry, "a", where)
+        if not all(isinstance(i, int) and 0 <= i < d for i in (x, a)):
             raise ManifestError(f"operator index ({x}, {a}) out of range")
-        table[x][a] = matrix_from_json(entry["matrix"])
-    if any(u is None for row in table for u in row):
+        m = matrix_from_json(_field(entry, "matrix", where))
+        if m.shape != (d, d):
+            raise ManifestError(f"{where}.matrix has shape {m.shape}, expected {(d, d)}")
+        ops[x, a] = m
+        seen[x, a] = True
+    if not seen.all():
         raise ManifestError("ueb manifest is missing operators")
-    return PartitionedUeb(d, table)
+    return PartitionedUeb(d, ops)
+
+
+def report_from_manifest(obj: dict, tol: float) -> list:
+    """Result entries of a report, each judged afresh by ``residual < tol``;
+    the stored ``pass`` flags are not trusted."""
+    _expect(obj, "report")
+    results = _field(obj, "results", "report manifest")
+    if not isinstance(results, list) or not results:
+        raise ManifestError("report manifest field 'results' must be a non-empty list")
+    out = []
+    for k, r in enumerate(results):
+        equation = _field(r, "equation", f"results[{k}]")
+        residual = _field(r, "residual", f"results[{k}]")
+        if isinstance(residual, bool) or not isinstance(residual, (int, float)):
+            raise ManifestError(f"results[{k}].residual must be a number, got {residual!r}")
+        out.append(cplx.residual_entry(str(equation), residual, tol))
+    return out

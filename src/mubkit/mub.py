@@ -64,23 +64,29 @@ def is_mub_pair(a, b, d: int, tol: float = cplx.DEFAULT_TOL) -> bool:
     return cplx.max_abs(overlap - 1.0 / d) < tol
 
 
-def is_maximal_mub_family(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> bool:
-    """Whether all d+1 bases satisfy
-    |<b^i_j|b^m_n>|^2 = (1/d)(1 - delta_im) + delta_im delta_jn.
+def mub_residuals(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> list:
+    """Worst deviation of |<b^i_j|b^m_n>|^2 from
+    (1/d)(1 - delta_im) + delta_im delta_jn over all d+1 bases.
 
     The same-basis case reduces to orthonormality (guaranteed by the data
-    model), so the check sweeps distinct pairs, with the distinguished basis
-    participating like any other. Unbiasedness against the computational
-    basis forces unit-modulus scaled entries, which is exactly the
-    controlled-Hadamard condition on the family scaled by sqrt(d).
+    model), so the check sweeps distinct pairs, one basis against all later
+    ones, with the distinguished basis participating like any other.
+    Unbiasedness against the computational basis forces unit-modulus scaled
+    entries, which is exactly the controlled-Hadamard condition on the
+    family scaled by sqrt(d).
     """
     d = family.d
-    for i in range(d + 1):
-        for m in range(i + 1, d + 1):
-            overlap = np.abs(family.bases[i].conj().T @ family.bases[m]) ** 2
-            if cplx.max_abs(overlap - 1.0 / d) >= tol:
-                return False
-    return True
+    bases = np.stack(family.bases)
+    worst = 0.0
+    for i in range(d):
+        overlap = np.abs(bases[i].conj().T @ bases[i + 1:]) ** 2
+        worst = max(worst, cplx.max_abs(overlap - 1.0 / d))
+    return [cplx.residual_entry("maximal_mub_overlaps", worst, tol)]
+
+
+def is_maximal_mub_family(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> bool:
+    """The residual of :func:`mub_residuals` below ``tol``."""
+    return all(r["pass"] for r in mub_residuals(family, tol))
 
 
 def bases_match(a, b, tol: float = cplx.DEFAULT_TOL) -> bool:
@@ -126,7 +132,7 @@ def mub_from_ueb(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0,
     if all(cplx.max_abs(u - np.diag(np.diag(u))) < tol for u in star_class):
         star_basis = eye
     else:
-        star_basis = cplx.simultaneous_eigenbasis(star_class + [eye], tol, seed)
+        star_basis = cplx.simultaneous_eigenbasis([*star_class, eye], tol, seed)
 
     bases = [star_basis]
     for x in range(d):

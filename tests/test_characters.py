@@ -6,6 +6,8 @@ from mubkit.characters import (
     Hadamard,
     additive_character_matrix,
     controlled_from_copies,
+    controlled_hadamard_residuals,
+    hadamard_residuals,
     is_controlled_hadamard,
     is_dephased,
     is_hadamard,
@@ -86,6 +88,10 @@ def test_psi_rows_orthogonal():
 def test_is_hadamard():
     assert is_hadamard(additive_character_matrix(new_field(2, 2)))
     assert not is_hadamard(np.eye(2))
+    assert hadamard_residuals(np.eye(2)) == [
+        {"equation": "hadamard_unit_modulus", "residual": 1.0, "pass": False},
+        {"equation": "hadamard_gram", "residual": 1.0, "pass": False},
+    ]
     h = np.array([[1, 1j], [1, -1j]])
     assert is_hadamard(h)
     assert not is_dephased(h)
@@ -100,6 +106,10 @@ def test_controlled_hadamard_checks():
     broken = ControlledHadamard(4, [Hadamard(4, chi.matrix.copy()) for _ in range(4)])
     broken.members[2] = Hadamard(4, np.eye(4, dtype=complex))
     assert not is_controlled_hadamard(broken)
+    # the worst member residual: |I I† - 4 I| = 3
+    assert controlled_hadamard_residuals(broken) == [
+        {"equation": "controlled_hadamard", "residual": 3.0, "pass": False}
+    ]
     single = ControlledHadamard(1, [Hadamard(2, DFT2)])
     assert is_controlled_hadamard(single)
 

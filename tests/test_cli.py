@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from mubkit import manifests
 from mubkit.characters import Hadamard, additive_character_matrix, controlled_from_copies
@@ -58,6 +60,17 @@ def test_construct_emits_five_files(tmp_path, capsys):
     assert np.array_equal(ueb.op(1, 0).real, corrected(1, 0).astype(float))
 
 
+@pytest.mark.parametrize("p,n,digest", [
+    (2, 2, "d5ef5e22dfc79c7c25c3ae4a6a5757df5c492db7e735adc5c4c9746a3cb97418"),
+    (3, 2, "dbae7c5a5a78b9be3f6915e338cdb352827780f2e718fd89f1d6533f5642974a"),
+])
+def test_construct_ueb_bytes_are_pinned(tmp_path, p, n, digest):
+    """The operator table as one array writes the same bytes as the nested
+    list of matrices it replaced."""
+    assert run(["construct", "--p", p, "--n", n, "--emit", "ueb", "--out", tmp_path]) == 0
+    assert hashlib.sha256((tmp_path / "ueb.json").read_bytes()).hexdigest() == digest
+
+
 def test_construct_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["construct", "--p", 3, "--n", 1, "--out", a]) == 0
@@ -99,6 +112,55 @@ def test_verify_truncated_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "ueb", "dimension": 2, "operators": [')
     assert run(["verify", path]) == 2
+
+
+ONE = [[[1.0, 0.0]]]
+
+
+MALFORMED = {
+    "report-empty": ({"kind": "report", "results": []}, 2, "'results'"),
+    "report-no-residual": (
+        {"kind": "report", "results": [{"equation": "e", "pass": True}]}, 2,
+        "results[0] has no 'residual'"),
+    "report-no-equation": (
+        {"kind": "report", "results": [{"residual": 0.0}]}, 2, "results[0] has no 'equation'"),
+    "report-text-residual": (
+        {"kind": "report", "results": [{"equation": "e", "residual": "0"}]}, 2,
+        "results[0].residual"),
+    # well formed, but the verdict comes from residual < --tol, not the stored flag
+    "report-stale-pass": (
+        {"kind": "report", "results": [{"equation": "e", "residual": 1.0, "pass": True}]}, 1,
+        "e: residual 1.000e+00 FAIL"),
+    "ueb-negative-dimension": ({"kind": "ueb", "dimension": -1, "operators": []}, 2, "'dimension'"),
+    "ueb-no-dimension": ({"kind": "ueb", "operators": []}, 2, "has no 'dimension'"),
+    "ueb-huge-dimension": (
+        {"kind": "ueb", "dimension": 3000, "operators": [{"x": 0, "a": 0, "matrix": ONE}]}, 2,
+        "'operators' must list 9000000 entries, got 1"),
+    "ueb-no-matrix": (
+        {"kind": "ueb", "dimension": 1, "operators": [{"x": 0, "a": 0}]}, 2,
+        "operators[0] has no 'matrix'"),
+    "ueb-no-index": (
+        {"kind": "ueb", "dimension": 1, "operators": [{"a": 0, "matrix": ONE}]}, 2,
+        "operators[0] has no 'x'"),
+    "mub-no-dimension": ({"kind": "mub", "bases": []}, 2, "has no 'dimension'"),
+    "mub-no-matrix": (
+        {"kind": "mub", "dimension": 1, "bases": [{"label": "*"}, {"label": "0", "matrix": ONE}]},
+        2, "bases[0] has no 'matrix'"),
+    "controlled-empty": (
+        {"kind": "controlled_hadamard", "control_dim": 0, "members": []}, 2, "'control_dim'"),
+}
+
+
+@pytest.mark.parametrize("manifest,code,needle", MALFORMED.values(), ids=MALFORMED.keys())
+def test_verify_malformed_manifest(tmp_path, capsys, manifest, code, needle):
+    """A malformed manifest exits 2 naming the field; it never ends in a
+    traceback or a vacuous PASS."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert run(["verify", path]) == code
+    captured = capsys.readouterr()
+    assert needle in captured.out + captured.err
+    assert "PASS" not in captured.out
 
 
 def test_verify_missing_file():

@@ -26,9 +26,11 @@ from mubkit.construct import (
     is_latin_square,
     is_partitioned_ueb,
     is_ueb,
+    partition_residuals,
     shift_multiply_ueb,
     ueb_from_field,
     ueb_from_mub,
+    ueb_residuals,
 )
 
 from golden import MISPRINTED, SPURIOUS_POSITION, corrected, printed
@@ -39,6 +41,15 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 XZ = np.array([[0, -1], [1, 0]], dtype=complex)
 DFT2 = np.array([[1, 1], [1, -1]], dtype=complex)
+
+
+def assert_predicates_match_residuals(table, tol=1e-9):
+    """is_ueb / is_partitioned_ueb are all(pass) over the residual lists."""
+    ueb_laws = ueb_residuals(table, tol)
+    assert [r["equation"] for r in ueb_laws] == ["ueb_unitarity", "ueb_trace_law"]
+    assert is_ueb(table, tol) == all(r["pass"] for r in ueb_laws)
+    laws = ueb_laws + partition_residuals(table, tol)
+    assert is_partitioned_ueb(table, tol) == all(r["pass"] for r in laws)
 
 
 def test_gf2_construction_is_pauli_like():
@@ -75,6 +86,7 @@ def test_field_construction_laws(p, n):
     d = p**n
     assert is_ueb(ueb, 1e-12)
     assert is_partitioned_ueb(ueb, 1e-12)
+    assert_predicates_match_residuals(ueb, 1e-12)
     assert len(ueb.class_star()) == d - 1
     for x in range(d):
         assert len(ueb.class_ops(x)) == d - 1
@@ -83,6 +95,16 @@ def test_field_construction_laws(p, n):
 def test_pauli_table_is_partitioned_ueb():
     table = PartitionedUeb(2, [[I2, Z], [X, Y]])
     assert is_partitioned_ueb(table)
+    assert_predicates_match_residuals(table)
+
+
+def test_accessors_are_views_of_the_operator_array():
+    ueb = ueb_from_field(new_field(3, 1))
+    assert ueb.ops.shape == (3, 3, 3, 3) and ueb.ops.dtype == np.complex128
+    assert np.shares_memory(ueb.flat(), ueb.ops)
+    assert np.shares_memory(ueb.class_ops(1), ueb.ops)
+    assert np.shares_memory(ueb.class_star(), ueb.ops)
+    assert np.shares_memory(ueb.op(2, 1), ueb.ops)
 
 
 def test_duplicate_operator_breaks_trace_law():
@@ -90,6 +112,7 @@ def test_duplicate_operator_breaks_trace_law():
     ops = [list(row) for row in ueb.ops]
     ops[1][1] = ops[1][2]
     assert not is_ueb(PartitionedUeb(4, ops))
+    assert_predicates_match_residuals(PartitionedUeb(4, ops))
 
 
 def test_is_latin_square():

@@ -20,37 +20,6 @@ def random_unitary(d, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_matmul_identity_and_shapes():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(cplx.matmul(np.eye(3), a), a)
-    with pytest.raises(ShapeMismatch):
-        cplx.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    assert np.array_equal(cplx.adjoint(cplx.adjoint(a)), a)
-
-
-def test_kron_block_swap():
-    got = cplx.kron(X, np.eye(2))
-    want = np.array([
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-    ], dtype=complex)
-    assert np.array_equal(got, want)
-
-
-def test_trace_requires_square():
-    assert cplx.trace(np.diag([1, 2, 3])) == 6
-    with pytest.raises(ShapeMismatch):
-        cplx.trace(np.ones((2, 3)))
-
-
 def test_non_finite_rejected():
     with pytest.raises(ShapeMismatch):
         cplx.as_matrix(np.array([[np.nan, 0], [0, 1]]))

@@ -11,6 +11,7 @@ from mubkit.mub import (
     is_maximal_mub_family,
     is_mub_pair,
     mub_from_ueb,
+    mub_residuals,
 )
 
 FOURIER2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -50,6 +51,9 @@ def test_pauli_eigenbases_are_maximal():
 def test_duplicated_basis_fails():
     fam = MubFamily(2, [np.eye(2, dtype=complex), FOURIER2, FOURIER2])
     assert not is_maximal_mub_family(fam)
+    [entry] = mub_residuals(fam)
+    assert entry["equation"] == "maximal_mub_overlaps" and not entry["pass"]
+    assert abs(entry["residual"] - 0.5) < 1e-12
 
 
 def test_bases_match_permuted_and_phased():
