@@ -81,11 +81,8 @@ def multiplicative_character_matrix(f: FiniteField) -> Hadamard:
     if m == 1:
         return Hadamard(1, np.ones((1, 1), dtype=np.complex128))
     logs = np.array([f.dlog(a) for a in range(1, f.d)], dtype=np.int64)
-    psi = np.empty((m, m), dtype=np.complex128)
-    for j in range(m):
-        for col in range(m):
-            psi[j, col] = cplx.unit_root(j * int(logs[col]), m)
-    return Hadamard(m, psi)
+    roots = np.array([cplx.unit_root(k, m) for k in range(m)], dtype=np.complex128)
+    return Hadamard(m, roots[np.arange(m)[:, None] * logs % m])
 
 
 def _matrix_of(h) -> np.ndarray:

@@ -34,7 +34,6 @@ from .errors import (
     NotCanonicalForm,
     NotHadamard,
     NotLatinSquare,
-    NotPartitionedUeb,
     NotUnitary,
     PreconditionFailed,
     ShapeMismatch,
@@ -226,23 +225,16 @@ def eigendata(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL, seed: int = 0)
     a = 0). Feeding the result back into :func:`ueb_from_mub` reproduces
     the table entrywise, since this is its spectral decomposition.
     """
-    if not is_partitioned_ueb(ueb, tol):
-        raise NotPartitionedUeb("input fails the partitioned UEB laws")
+    family = mub_from_ueb(ueb, tol, seed)  # raises NotPartitionedUeb
+    if cplx.offdiag_residual(ueb.class_star()) >= tol:
+        raise NotCanonicalForm("distinguished class is not diagonal")
     d = ueb.d
-    for u in ueb.class_star():
-        if cplx.max_abs(u - np.diag(np.diag(u))) >= tol:
-            raise NotCanonicalForm("distinguished class is not diagonal")
-
-    family = mub_from_ueb(ueb, tol, seed, validate=False)  # validated above
-    g = np.empty((d, d), dtype=np.complex128)
-    for x in range(d):
-        g[:, x] = np.diag(ueb.op(x, 0))
+    g = np.diagonal(ueb.ops[:, 0], axis1=1, axis2=2).T.copy()
     members = []
     for x in range(d):
         bx = family.basis(x)
         hx = np.ones((d, d), dtype=np.complex128)
-        for a in range(1, d):
-            hx[:, a] = np.diag(bx.conj().T @ ueb.op(x, a) @ bx)
+        hx[:, 1:] = np.diagonal(bx.conj().T @ ueb.class_ops(x) @ bx, axis1=1, axis2=2).T
         members.append(Hadamard(d, hx))
     return family, ControlledHadamard(d, members), Hadamard(d, g)
 
@@ -268,8 +260,7 @@ def ueb_residuals(table, tol: float = cplx.DEFAULT_TOL) -> list:
     if not isinstance(table, PartitionedUeb):
         table = PartitionedUeb(len(table), table)
     d = table.d
-    eye = np.eye(d)
-    unitarity = max(cplx.max_abs(u.conj().T @ u - eye) for u in table.flat())
+    unitarity = max(cplx.unitarity_residual(row) for row in table.ops)
     f = table.ops.reshape(d * d, d * d)
     trace_law = cplx.max_abs(f.conj() @ f.T - d * np.eye(d * d))
     return [
@@ -281,14 +272,11 @@ def ueb_residuals(table, tol: float = cplx.DEFAULT_TOL) -> list:
 def partition_residuals(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL) -> list:
     """Residuals of the partition laws: identity at (0,0), and every class
     (the distinguished one and each row x) pairwise commuting. Class sizes
-    d-1 are structural in the table. Each member is checked against the
-    later members of its class, so no temporary exceeds one class."""
+    d-1 are structural in the table. Classes are checked one at a time, so
+    no temporary exceeds one class."""
     d = ueb.d
-    commutator = 0.0
-    for ops in [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]:
-        for i in range(len(ops) - 1):
-            u, rest = ops[i], ops[i + 1:]
-            commutator = max(commutator, cplx.max_abs(u @ rest - rest @ u))
+    classes = [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]
+    commutator = max(cplx.commutator_residual(ops)[0] for ops in classes)
     return [
         cplx.residual_entry("ueb_identity_slot", cplx.max_abs(ueb.op(0, 0) - np.eye(d)), tol),
         cplx.residual_entry("ueb_class_commutators", commutator, tol),

@@ -1,10 +1,11 @@
 """Dense complex linear algebra for small matrices.
 
 Matrices are plain ``numpy`` arrays of complex128. The module supplies
-unitarity/commutation predicates, the residual entry every law check
-reports, a Hermitian eigensolver (LAPACK ``eigh``), and simultaneous
-diagonalization of commuting unitary families via a seeded random Hermitian
-combination.
+the three matrix laws as batched residuals over (k, d, d) stacks
+(unitarity, pairwise commutators, off-diagonal residue), which every law
+check calls; the residual entry every law check reports; a Hermitian
+eigensolver (LAPACK ``eigh``); and simultaneous diagonalization of
+commuting unitary families via a seeded random Hermitian combination.
 """
 
 from __future__ import annotations
@@ -51,18 +52,41 @@ def residual_entry(equation: str, residual: float, tol: float) -> dict:
     return {"equation": equation, "residual": float(residual), "pass": bool(residual < tol)}
 
 
+def unitarity_residual(stack) -> float:
+    """Largest entry of U†U - I over a (k, d, d) stack; 0.0 when empty."""
+    stack = np.asarray(stack)
+    return max_abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))
+
+
+def commutator_residual(stack) -> tuple:
+    """Largest entry of U_i U_j - U_j U_i over the pairs i < j of a (k, d, d)
+    stack, and that pair ((0.0, None) without pairs). Each member is checked
+    against the later ones, so no temporary exceeds the stack."""
+    stack = np.asarray(stack)
+    worst, pair = 0.0, None
+    for i in range(len(stack) - 1):
+        u, rest = stack[i], stack[i + 1:]
+        per_member = np.abs(u @ rest - rest @ u).max(axis=(1, 2))
+        j = int(np.argmax(per_member))
+        if pair is None or per_member[j] > worst:
+            worst, pair = float(per_member[j]), (i, i + 1 + j)
+    return worst, pair
+
+
+def offdiag_residual(stack, w=None) -> float:
+    """Largest off-diagonal entry of W†UW over a (k, d, d) stack (of U
+    itself when ``w`` is None); 0.0 when empty."""
+    mods = np.abs(stack if w is None else w.conj().T @ np.asarray(stack) @ w)
+    d = mods.shape[-1]
+    mods[..., range(d), range(d)] = 0.0
+    return max_abs(mods)
+
+
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"unitarity requires a square matrix, got {a.shape}")
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) < tol
-
-
-def commutes(a, b, tol: float = DEFAULT_TOL) -> bool:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"commutator requires equal square shapes, got {a.shape}, {b.shape}")
-    return max_abs(a @ b - b @ a) < tol
+    return unitarity_residual(a[None]) < tol
 
 
 @dataclass
@@ -105,53 +129,47 @@ def phase_normalize(basis, tol: float = DEFAULT_TOL) -> np.ndarray:
     return w
 
 
-def _all_diagonal(family, w, tol: float) -> bool:
-    for u in family:
-        conj = w.conj().T @ u @ w
-        if max_abs(conj - np.diag(np.diag(conj))) >= tol:
-            return False
-    return True
-
-
 def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> np.ndarray:
-    """Common eigenbasis of a family of commuting unitaries.
+    """Common eigenbasis W of a family of commuting unitaries.
 
     Draws seeded random real coefficients c_k, r_k and diagonalizes the
     Hermitian combination sum_k c_k (U_k + U_k†)/2 + r_k (U_k - U_k†)/(2i).
-    If some conjugated family member fails to come out diagonal (the random
-    combination hit a degeneracy), redraws, up to 8 attempts, after which
+    W is returned only when every member is diagonal in it within ``tol``
+    (:func:`offdiag_residual`), a certificate that implies commutation.
+    A draw that hits a degeneracy is redrawn, up to 8 attempts. When all
+    fail, :class:`NotCommuting` names the worst non-commuting pair, or else
     :class:`DegenerateFamily` signals a genuinely shared eigenspace.
 
     Columns are ordered by ascending eigenvalue of the combination and
     phase-normalized via :func:`phase_normalize`.
     """
-    mats = [as_matrix(u) for u in family]
-    if not mats:
-        raise ShapeMismatch("empty family")
-    d = mats[0].shape[0]
-    for u in mats:
-        if u.shape != (d, d):
-            raise ShapeMismatch(f"family members must all be {d}x{d}, got {u.shape}")
-        if not is_unitary(u, tol):
-            raise NotUnitary("family member is not unitary within tolerance")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not commutes(mats[i], mats[j], tol):
-                raise NotCommuting(f"family members {i} and {j} do not commute")
+    try:
+        mats = np.asarray(family, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # ragged members or non-numeric entries
+        raise ShapeMismatch(f"family members must share one square shape: {exc}") from exc
+    if (mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]
+            or not np.all(np.isfinite(mats))):
+        raise ShapeMismatch(f"expected a non-empty stack of finite square matrices: {mats.shape}")
+    if unitarity_residual(mats) >= tol:
+        raise NotUnitary("family member is not unitary within tolerance")
 
+    d = mats.shape[1]
     rng = np.random.default_rng(seed)
-    herm = [(u + u.conj().T) / 2.0 for u in mats]
-    skew = [(u - u.conj().T) / 2.0j for u in mats]
+    adj = mats.conj().swapaxes(-1, -2)
+    herm, skew = (mats + adj) / 2.0, (mats - adj) / 2.0j
     for _ in range(SIMDIAG_RETRIES):
         c = rng.standard_normal(len(mats))
         r = rng.standard_normal(len(mats))
         a = np.zeros((d, d), dtype=np.complex128)
         for k in range(len(mats)):
             a += c[k] * herm[k] + r[k] * skew[k]
-        decomp = eig_hermitian(a, HERMITIAN_TOL)
-        w = decomp.vectors
-        if _all_diagonal(mats, w, tol):
+        w = eig_hermitian(a, HERMITIAN_TOL).vectors
+        if offdiag_residual(mats, w) < tol:
             return phase_normalize(w, tol)
+    worst, pair = commutator_residual(mats)
+    if worst >= tol:
+        raise NotCommuting(f"family members {pair[0]} and {pair[1]} do not commute "
+                           f"(residual {worst:.3g})")
     raise DegenerateFamily(
         f"no random combination separated the joint eigenspaces in {SIMDIAG_RETRIES} attempts"
     )

@@ -381,24 +381,21 @@ class FiniteField:
 
     @functools.cached_property
     def add_table(self) -> np.ndarray:
-        """d x d array with [a, b] = a + b."""
-        t = np.empty((self.d, self.d), dtype=np.int64)
-        for a in range(self.d):
-            for b in range(a, self.d):
-                s = self.add(a, b)
-                t[a, b] = s
-                t[b, a] = s
+        """d x d array with [a, b] = a + b, added digit by digit mod p."""
+        idx = np.arange(self.d)
+        t = np.zeros((self.d, self.d), dtype=np.int64)
+        for k in range(self.n):
+            digit = idx // self.p**k % self.p
+            t += (digit[:, None] + digit) % self.p * self.p**k
         return t
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
-        """d x d array with [a, b] = a * b."""
+        """d x d array with [a, b] = a * b, as exp[(log a + log b) mod (d-1)]."""
+        self._ensure_tables()
+        log = self._log[1:]
         t = np.zeros((self.d, self.d), dtype=np.int64)
-        for a in range(1, self.d):
-            for b in range(a, self.d):
-                m = self.mul(a, b)
-                t[a, b] = m
-                t[b, a] = m
+        t[1:, 1:] = self._exp[(log[:, None] + log) % (self.d - 1)]
         return t
 
     @functools.cached_property

@@ -183,6 +183,14 @@ def _entries(obj: dict, key: str, want: int) -> list:
     return entries
 
 
+def _matrix(obj, where: str, d: int) -> np.ndarray:
+    """The d x d ``matrix`` field of ``obj``, or a ManifestError naming ``where``."""
+    m = matrix_from_json(_field(obj, "matrix", where))
+    if m.shape != (d, d):
+        raise ManifestError(f"{where} field 'matrix' has shape {m.shape}, expected {(d, d)}")
+    return m
+
+
 def field_from_manifest(obj: dict) -> FiniteField:
     _expect(obj, "field")
     try:
@@ -193,15 +201,18 @@ def field_from_manifest(obj: dict) -> FiniteField:
 
 def hadamard_from_manifest(obj: dict) -> Hadamard:
     _expect(obj, "hadamard")
-    m = matrix_from_json(obj.get("matrix", []))
-    return Hadamard(m.shape[0], m)
+    d = _count(obj, "dimension")
+    return Hadamard(d, _matrix(obj, "hadamard manifest", d))
 
 
 def controlled_from_manifest(obj: dict) -> ControlledHadamard:
     _expect(obj, "controlled_hadamard")
-    members = _entries(obj, "members", _count(obj, "control_dim"))
-    members = [matrix_from_json(m) for m in members]
-    return ControlledHadamard(len(members), [Hadamard(m.shape[0], m) for m in members])
+    members = [matrix_from_json(m) for m in _entries(obj, "members", _count(obj, "control_dim"))]
+    d = members[0].shape[0]
+    for k, m in enumerate(members):
+        if m.shape != (d, d):
+            raise ManifestError(f"members[{k}] has shape {m.shape}, expected {(d, d)}")
+    return ControlledHadamard(len(members), [Hadamard(d, m) for m in members])
 
 
 def mub_from_manifest(obj: dict) -> MubFamily:
@@ -209,7 +220,7 @@ def mub_from_manifest(obj: dict) -> MubFamily:
     d = _count(obj, "dimension")
     entries = _entries(obj, "bases", d + 1)
     by_label = {
-        _field(e, "label", f"bases[{k}]"): matrix_from_json(_field(e, "matrix", f"bases[{k}]"))
+        _field(e, "label", f"bases[{k}]"): _matrix(e, f"bases[{k}]", d)
         for k, e in enumerate(entries)
     }
     want = ["*"] + [str(x) for x in range(d)]
@@ -229,10 +240,7 @@ def ueb_from_manifest(obj: dict) -> PartitionedUeb:
         x, a = _field(entry, "x", where), _field(entry, "a", where)
         if not all(isinstance(i, int) and 0 <= i < d for i in (x, a)):
             raise ManifestError(f"operator index ({x}, {a}) out of range")
-        m = matrix_from_json(_field(entry, "matrix", where))
-        if m.shape != (d, d):
-            raise ManifestError(f"{where}.matrix has shape {m.shape}, expected {(d, d)}")
-        ops[x, a] = m
+        ops[x, a] = _matrix(entry, where, d)
         seen[x, a] = True
     if not seen.all():
         raise ManifestError("ueb manifest is missing operators")

@@ -30,15 +30,12 @@ class MubFamily:
             raise WrongFamilySize(
                 f"expected {self.d + 1} bases for dimension {self.d}, got {len(self.bases)}"
             )
-        checked = []
-        for b in self.bases:
-            m = cplx.as_matrix(b)
+        self.bases = [cplx.as_matrix(b) for b in self.bases]
+        for m in self.bases:
             if m.shape != (self.d, self.d):
                 raise ShapeMismatch(f"basis has shape {m.shape}, expected {(self.d, self.d)}")
-            if not cplx.is_unitary(m, cplx.DEFAULT_TOL):
-                raise NotUnitary("basis matrix is not unitary within tolerance")
-            checked.append(m)
-        self.bases = checked
+        if cplx.unitarity_residual(np.stack(self.bases)) >= cplx.DEFAULT_TOL:
+            raise NotUnitary("basis matrix is not unitary within tolerance")
 
     @property
     def labels(self) -> list:
@@ -57,9 +54,8 @@ def is_mub_pair(a, b, d: int, tol: float = cplx.DEFAULT_TOL) -> bool:
     a, b = cplx.as_matrix(a), cplx.as_matrix(b)
     if a.shape != (d, d) or b.shape != (d, d):
         raise ShapeMismatch(f"expected {d}x{d} bases, got {a.shape} and {b.shape}")
-    for m in (a, b):
-        if not cplx.is_unitary(m, tol):
-            raise NotUnitary("basis is not unitary within tolerance")
+    if cplx.unitarity_residual(np.stack([a, b])) >= tol:
+        raise NotUnitary("basis is not unitary within tolerance")
     overlap = np.abs(a.conj().T @ b) ** 2
     return cplx.max_abs(overlap - 1.0 / d) < tol
 
@@ -95,9 +91,8 @@ def bases_match(a, b, tol: float = cplx.DEFAULT_TOL) -> bool:
     a, b = cplx.as_matrix(a), cplx.as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected equal square bases, got {a.shape} and {b.shape}")
-    for m in (a, b):
-        if not cplx.is_unitary(m, tol):
-            raise NotUnitary("basis is not unitary within tolerance")
+    if cplx.unitarity_residual(np.stack([a, b])) >= tol:
+        raise NotUnitary("basis is not unitary within tolerance")
     gram = np.abs(a.conj().T @ b)
     big = gram > 1.0 - tol
     small = gram < tol
@@ -106,30 +101,27 @@ def bases_match(a, b, tol: float = cplx.DEFAULT_TOL) -> bool:
     return bool(np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1))
 
 
-def mub_from_ueb(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0,
-                 validate: bool = True) -> MubFamily:
+def mub_from_ueb(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0) -> MubFamily:
     """Maximal MUB family of common eigenbases of a partitioned UEB's
     commuting classes.
 
-    The distinguished basis comes from the class stored at shift positions
-    (plus the identity); when that class is already diagonal the family is
-    in canonical form and the identity is returned exactly, avoiding
-    spurious phase churn. Basis x is the common eigenbasis of class x. Each
-    per-class diagonalization is seeded independently for reproducibility.
-
-    ``validate=False`` skips the partitioned-UEB check so degenerate inputs
-    can be probed (the output then generally fails
-    :func:`is_maximal_mub_family`).
+    The input must pass :func:`~mubkit.construct.is_partitioned_ueb`, which
+    is where class commutation is checked. The distinguished basis comes
+    from the class stored at shift positions (plus the identity); when that
+    class is already diagonal the family is in canonical form and the
+    identity is returned exactly, avoiding spurious phase churn. Basis x is
+    the common eigenbasis of class x. Each per-class diagonalization is
+    seeded independently for reproducibility.
     """
     from .construct import is_partitioned_ueb  # local import: module cycle
 
-    if validate and not is_partitioned_ueb(ueb, tol):
+    if not is_partitioned_ueb(ueb, tol):
         raise NotPartitionedUeb("input fails the partitioned UEB laws")
     d = ueb.d
     eye = cplx.identity(d)
 
     star_class = ueb.class_star()
-    if all(cplx.max_abs(u - np.diag(np.diag(u))) < tol for u in star_class):
+    if cplx.offdiag_residual(star_class) < tol:
         star_basis = eye
     else:
         star_basis = cplx.simultaneous_eigenbasis([*star_class, eye], tol, seed)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mubkit import cplx
 from mubkit.characters import (
     ControlledHadamard,
     Hadamard,
@@ -75,6 +76,14 @@ def test_psi_gf4_is_order_three_fourier():
 def test_psi_gf2_trivial():
     psi = multiplicative_character_matrix(new_field(2, 1)).matrix
     assert np.array_equal(psi, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (3, 3), (2, 5)])
+def test_psi_equals_per_entry_unit_roots(p, n):
+    f = new_field(p, n)
+    m = f.d - 1
+    want = np.array([[cplx.unit_root(j * f.dlog(a), m) for a in range(1, f.d)] for j in range(m)])
+    assert np.array_equal(multiplicative_character_matrix(f).matrix, want)
 
 
 def test_psi_rows_orthogonal():

@@ -148,6 +148,20 @@ MALFORMED = {
         2, "bases[0] has no 'matrix'"),
     "controlled-empty": (
         {"kind": "controlled_hadamard", "control_dim": 0, "members": []}, 2, "'control_dim'"),
+    "controlled-mixed-orders": (
+        {"kind": "controlled_hadamard", "control_dim": 2, "members": [ONE, [[[1.0, 0.0]] * 2] * 2]},
+        2, "members[1] has shape (2, 2), expected (1, 1)"),
+    "hadamard-not-square": (
+        {"kind": "hadamard", "dimension": 1, "matrix": [[[1.0, 0.0]] * 2]}, 2,
+        "field 'matrix' has shape (1, 2), expected (1, 1)"),
+    "hadamard-wrong-dimension": (
+        {"kind": "hadamard", "dimension": 2, "matrix": ONE}, 2,
+        "field 'matrix' has shape (1, 1), expected (2, 2)"),
+    "hadamard-no-matrix": ({"kind": "hadamard", "dimension": 1}, 2, "has no 'matrix'"),
+    "mub-basis-shape": (
+        {"kind": "mub", "dimension": 1,
+         "bases": [{"label": "*", "matrix": [[[1.0, 0.0]] * 2]}, {"label": "0", "matrix": ONE}]},
+        2, "bases[0] field 'matrix' has shape (1, 2), expected (1, 1)"),
 }
 
 

@@ -14,6 +14,7 @@ from mubkit.errors import (
     NotCanonicalForm,
     NotHadamard,
     NotLatinSquare,
+    NotPartitionedUeb,
     NotUnitary,
     PreconditionFailed,
 )
@@ -237,6 +238,8 @@ def test_eigendata_requires_canonical_form():
     ueb = ueb_from_field(new_field(2, 1))  # shift class, not diagonal
     with pytest.raises(NotCanonicalForm):
         eigendata(ueb)
+    with pytest.raises(NotPartitionedUeb):  # diagonal, but fails the laws
+        eigendata(PartitionedUeb(2, [[I2, I2], [Z, I2]]))
 
 
 def test_phi_theta_identity_on_extracted_family():

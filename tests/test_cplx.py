@@ -30,9 +30,53 @@ def test_is_unitary():
     assert not cplx.is_unitary(np.array([[1, 1], [1, -1]], dtype=complex), 1e-9)
 
 
-def test_commutes():
-    assert cplx.commutes(Z, np.diag([2.0, 3.0]).astype(complex))
-    assert not cplx.commutes(X, Z)
+def stack_with_planted_pair(k, d, i, j, rng):
+    """k unitaries diagonal in one random basis V and degenerate on its first
+    two vectors, except member i; member j also mixes those two vectors, so
+    (i, j) is the only pair that does not commute."""
+    phases = np.exp(2j * np.pi * rng.random((k, d)))
+    phases[:, 1] = phases[:, 0]
+    phases[i, 1] = -phases[i, 0]
+    diag = np.zeros((k, d, d), dtype=complex)
+    diag[:, range(d), range(d)] = phases
+    diag[j, :2, :2] = random_unitary(2, rng)
+    v = random_unitary(d, rng)
+    return v @ diag @ v.conj().T
+
+
+def test_commutator_residual_matches_pairwise_reference():
+    stack = stack_with_planted_pair(6, 5, 1, 4, np.random.default_rng(3))
+    pairs = {(i, j): cplx.max_abs(stack[i] @ stack[j] - stack[j] @ stack[i])
+             for i in range(6) for j in range(i + 1, 6)}
+    worst, pair = cplx.commutator_residual(stack)
+    assert pair == (1, 4) and worst == pairs[1, 4] == max(pairs.values()) > 1e-3
+    assert all(r < 1e-12 for ij, r in pairs.items() if ij != (1, 4))
+    assert cplx.commutator_residual(np.delete(stack, 4, axis=0))[0] < 1e-12
+    assert cplx.commutator_residual([X, Z]) == (2.0, (0, 1))
+    assert cplx.commutator_residual(stack[:1]) == (0.0, None)
+
+
+def test_unitarity_residual_matches_per_matrix_reference():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_unitary(4, rng) for _ in range(5)])
+    stack[2] *= 1.5
+    reference = max(cplx.max_abs(u.conj().T @ u - np.eye(4)) for u in stack)
+    assert cplx.unitarity_residual(stack) == reference
+    assert reference == pytest.approx(1.25)
+    assert cplx.unitarity_residual(np.delete(stack, 2, axis=0)) < 1e-12
+    assert cplx.unitarity_residual(np.zeros((0, 3, 3))) == 0.0
+
+
+def test_offdiag_residual_matches_per_matrix_reference():
+    stack = stack_with_planted_pair(4, 6, 0, 2, np.random.default_rng(5))
+    w = cplx.simultaneous_eigenbasis(np.delete(stack, 2, axis=0))
+    reference = max(cplx.max_abs(c - np.diag(np.diag(c)))
+                    for c in (w.conj().T @ u @ w for u in stack))
+    assert cplx.offdiag_residual(stack, w) == reference > 1e-3
+    assert cplx.offdiag_residual(np.delete(stack, 2, axis=0), w) < 1e-9
+    assert cplx.offdiag_residual([Z, np.diag([1j, 1.0])]) == 0.0
+    assert cplx.offdiag_residual([Z, X]) == 1.0
+    assert cplx.offdiag_residual(np.zeros((0, 2, 2))) == 0.0
 
 
 def test_eig_diagonal_permutation():
@@ -107,8 +151,14 @@ def test_simdiag_field_class():
 
 
 def test_simdiag_rejects_bad_families():
-    with pytest.raises(NotCommuting):
+    with pytest.raises(NotCommuting, match="members 0 and 1"):
         cplx.simultaneous_eigenbasis([X, Z])
+    with pytest.raises(NotCommuting, match="members 1 and 4"):
+        cplx.simultaneous_eigenbasis(stack_with_planted_pair(5, 4, 1, 4, np.random.default_rng(6)))
+    with pytest.raises(ShapeMismatch):
+        cplx.simultaneous_eigenbasis([X, np.eye(3)])
+    with pytest.raises(ShapeMismatch):
+        cplx.simultaneous_eigenbasis(np.zeros((0, 2, 2)))
     with pytest.raises(NotUnitary):
         cplx.simultaneous_eigenbasis([np.array([[1, 1], [1, -1]], dtype=complex)])
 

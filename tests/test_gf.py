@@ -135,6 +135,17 @@ def test_index_out_of_range():
         f.mul(0, -1)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 2), (2, 5), (3, 3)])
+def test_dense_tables_equal_per_pair_arithmetic(p, n):
+    """The vectorized tables against the scalar add/mul, pair by pair."""
+    f = new_field(p, n)
+    want_add = np.array([[f.add(a, b) for b in range(f.d)] for a in range(f.d)])
+    want_mul = np.array([[f.mul(a, b) for b in range(f.d)] for a in range(f.d)])
+    assert f.add_table.dtype == f.mul_table.dtype == np.int64
+    assert np.array_equal(f.add_table, want_add)
+    assert np.array_equal(f.mul_table, want_mul)
+
+
 @pytest.mark.parametrize("p,n", SMALL_PRIME_POWERS)
 def test_field_axioms_exhaustive(p, n):
     """Brute-force oracle: every axiom over all pairs/triples, via the dense

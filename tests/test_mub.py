@@ -109,17 +109,20 @@ def test_theta_rejects_non_ueb():
 
 
 def test_theta_all_diagonal_negative_control():
-    """Diagonal classes share the computational eigenbasis, so the extracted
-    family collapses and fails maximality (probed with validation off)."""
+    """Diagonal classes share the computational eigenbasis: θ refuses the
+    table, and the per-class eigenbases collapse into a family that fails
+    maximality."""
     eye = np.eye(2, dtype=complex)
     table = PartitionedUeb(2, [
         [eye, np.diag([1.0, 1j]).astype(complex)],
         [np.diag([1.0, -1.0]).astype(complex), np.diag([1.0, -1j]).astype(complex)],
     ])
-    fam = mub_from_ueb(table, validate=False, seed=0)
-    for x in range(2):
-        assert bases_match(fam.basis(x), np.eye(2))
-    assert not is_maximal_mub_family(fam)
+    with pytest.raises(NotPartitionedUeb):
+        mub_from_ueb(table, seed=0)
+    bases = [simultaneous_eigenbasis(table.class_ops(x), seed=1 + x) for x in range(2)]
+    for b in bases:
+        assert bases_match(b, eye)
+    assert not is_maximal_mub_family(MubFamily(2, [eye] + bases))
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
