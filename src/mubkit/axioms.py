@@ -12,13 +12,19 @@ Four commutative algebras live on concrete index spaces:
 Green labels k correspond to black labels k+1 through the inclusion
 ``iota`` and retraction ``p``; ``proj = iota @ p`` kills the zero state.
 Every equation below is checked by contracting both sides to explicit
-arrays and comparing, feasible because d <= 16 and arities stay small.
+arrays and comparing. The five-index laws are compared one block of their
+first output index at a time, each block the fewest d^4 slices that make
+up 8 MiB (a single slice from d = 27 on), so past d = 14 no law holds a
+full d^5 tensor and the largest array is one d^4 tensor or one block. The
+suite refuses (``TooLarge``) a field whose d^4 complex array would exceed
+``MAX_ARRAY_BYTES`` = 256 MiB, which admits d <= 64.
 A modular-ring variant with composite d serves as the negative control:
 it must fail exactly at the multiplicative-group laws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +38,19 @@ from .characters import (
     is_controlled_hadamard,
     multiplicative_character_matrix,
 )
-from .errors import NotControlledHadamard
+from .errors import NotControlledHadamard, TooLarge
 from .gf import FiniteField
 
 DEFAULT_TOL = 1e-10
+
+# Size limit on one d^4 complex128 array (the suite's largest): 256 MiB.
+MAX_ARRAY_BYTES = 256 << 20
+
+# A five-index law is contracted in blocks of its first output index, each
+# the fewest d^4 slices that make up this size. In smaller blocks the page
+# faults of each freshly allocated block cost more than its arithmetic
+# (measured at d = 16-19).
+_MIN_BLOCK_BYTES = 8 << 20
 
 
 def _einsum(*args, **kwargs):
@@ -93,22 +108,20 @@ def _assemble_yellow(red_unit, mul_group, p, iota) -> np.ndarray:
     return t1 + t2 + t3 + t4
 
 
-def build_structure_tensors(f: FiniteField) -> StructureTensors:
-    """Populate every tensor for a finite field; the assembled full-space
-    multiplication is cross-checked against the direct product table."""
-    d = f.d
-    black_mult = _copy_spider(d)
-    black_unit = np.ones(d)
-    red_mult = _op_tensor(f.add_table)
+def _structure_tensors(add_table, mul_table, chi, psi) -> StructureTensors:
+    """Every tensor of the ring with these (d, d) tables. Products of two
+    nonzero elements that reach zero leave the nonzero set, so the group
+    tensor is the nonzero block of the full multiplication and is partial
+    when the nonzero elements are not closed."""
+    d = len(add_table)
     red_unit = np.zeros(d)
     red_unit[0] = 1.0
-
-    green_mult = _copy_spider(d - 1)
-    green_unit = np.ones(d - 1)
-    group_table = f.mul_table[1:, 1:] - 1  # green labels
-    mul_group_mult = _op_tensor(group_table)
+    yellow = _op_tensor(mul_table)
+    group = yellow[1:, 1:, 1:].copy()
     mul_group_unit = np.zeros(d - 1)
     mul_group_unit[0] = 1.0  # field element 1
+    yellow_unit = np.zeros(d)
+    yellow_unit[1] = 1.0
 
     p = np.zeros((d - 1, d))
     p[np.arange(d - 1), np.arange(1, d)] = 1.0
@@ -116,32 +129,39 @@ def build_structure_tensors(f: FiniteField) -> StructureTensors:
     proj = np.eye(d)
     proj[0, 0] = 0.0
 
-    yellow_direct = _op_tensor(f.mul_table)
-    yellow_assembled = _assemble_yellow(red_unit, mul_group_mult, p, iota)
-    if not np.array_equal(yellow_direct, yellow_assembled):
-        raise AssertionError("assembled full-space multiplication disagrees with the product table")
-    yellow_unit = np.zeros(d)
-    yellow_unit[1] = 1.0
-
     return StructureTensors(
         d=d,
-        black_mult=black_mult,
-        black_unit=black_unit,
-        red_mult=red_mult,
+        black_mult=_copy_spider(d),
+        black_unit=np.ones(d),
+        red_mult=_op_tensor(add_table),
         red_unit=red_unit,
-        yellow_mult=yellow_direct,
+        yellow_mult=yellow,
         yellow_unit=yellow_unit,
-        green_mult=green_mult,
-        green_unit=green_unit,
-        mul_group_mult=mul_group_mult,
+        green_mult=_copy_spider(d - 1),
+        green_unit=np.ones(d - 1),
+        mul_group_mult=group,
         mul_group_unit=mul_group_unit,
         p=p,
         iota=iota,
         proj=proj,
-        chi=additive_character_matrix(f).matrix,
-        psi=multiplicative_character_matrix(f).matrix,
-        yellow_mult_assembled=yellow_assembled,
+        chi=chi,
+        psi=psi,
+        yellow_mult_assembled=_assemble_yellow(red_unit, group, p, iota),
     )
+
+
+def build_structure_tensors(f: FiniteField) -> StructureTensors:
+    """Populate every tensor for a finite field; the assembled full-space
+    multiplication is cross-checked against the direct product table."""
+    t = _structure_tensors(
+        f.add_table,
+        f.mul_table,
+        additive_character_matrix(f).matrix,
+        multiplicative_character_matrix(f).matrix,
+    )
+    if not np.array_equal(t.yellow_mult, t.yellow_mult_assembled):
+        raise AssertionError("assembled full-space multiplication disagrees with the product table")
+    return t
 
 
 def ring_structure_tensors(d: int) -> StructureTensors:
@@ -150,66 +170,44 @@ def ring_structure_tensors(d: int) -> StructureTensors:
     (the restricted multiplication is not even closed), which the law
     reports localize."""
     idx = np.arange(d)
-    add_table = (idx[:, None] + idx[None, :]) % d
     mul_table = (idx[:, None] * idx[None, :]) % d
-
-    black_mult = _copy_spider(d)
-    black_unit = np.ones(d)
-    red_mult = _op_tensor(add_table)
-    red_unit = np.zeros(d)
-    red_unit[0] = 1.0
-
-    green_mult = _copy_spider(d - 1)
-    green_unit = np.ones(d - 1)
-    # partial tensor: products escaping the nonzero set contribute nothing
-    group = np.zeros((d - 1, d - 1, d - 1))
-    for a in range(1, d):
-        for b in range(1, d):
-            c = (a * b) % d
-            if c != 0:
-                group[c - 1, a - 1, b - 1] = 1.0
-    mul_group_unit = np.zeros(d - 1)
-    mul_group_unit[0] = 1.0
-
-    p = np.zeros((d - 1, d))
-    p[np.arange(d - 1), np.arange(1, d)] = 1.0
-    iota = p.T.copy()
-    proj = np.eye(d)
-    proj[0, 0] = 0.0
-
-    chi = np.array(
-        [[cplx.unit_root(a * b, d) for b in range(d)] for a in range(d)],
-        dtype=np.complex128,
-    )
-    yellow = _op_tensor(mul_table)
-    yellow_unit = np.zeros(d)
-    yellow_unit[1] = 1.0
-
-    return StructureTensors(
-        d=d,
-        black_mult=black_mult,
-        black_unit=black_unit,
-        red_mult=red_mult,
-        red_unit=red_unit,
-        yellow_mult=yellow,
-        yellow_unit=yellow_unit,
-        green_mult=green_mult,
-        green_unit=green_unit,
-        mul_group_mult=group,
-        mul_group_unit=mul_group_unit,
-        p=p,
-        iota=iota,
-        proj=proj,
-        chi=chi,
-        psi=None,
-        yellow_mult_assembled=_assemble_yellow(red_unit, group, p, iota),
-    )
+    roots = np.array([cplx.unit_root(k, d) for k in range(d)], dtype=np.complex128)
+    return _structure_tensors((idx[:, None] + idx[None, :]) % d, mul_table, roots[mul_table], None)
 
 
 # -- report helpers ----------------------------------------------------------
 
 def _diff(a, b) -> float:
     return cplx.max_abs(np.asarray(a) - np.asarray(b))
+
+
+def _blockwise_diff(lhs: tuple, rhs: tuple) -> float:
+    """``_diff`` of two einsum contractions, each ``(spec, *operands)``, whose
+    outputs start with the same index. Both sides are contracted one block of
+    that index at a time, so neither full output is held. Every entry is a
+    sum of small integers and a maximum ignores order, so the value is
+    exactly the one-shot ``_diff``."""
+    spec, *operands = lhs
+    terms, out = spec.split("->")
+    sizes = {c: n for t, o in zip(terms.split(","), operands) for c, n in zip(t, o.shape)}
+    slice_bytes = 16 * math.prod(sizes[c] for c in out[1:])  # complex128
+    step = -(-_MIN_BLOCK_BYTES // slice_bytes)
+    return max(
+        _diff(_einsum(*_block(lhs, k, step)), _einsum(*_block(rhs, k, step)))
+        for k in range(0, sizes[out[0]], step)
+    )
+
+
+def _block(contraction: tuple, start: int, step: int) -> tuple:
+    """The contraction restricted to ``start:start + step`` of its first
+    output index."""
+    spec, *operands = contraction
+    terms, out = spec.split("->")
+    index = out[0]
+    return (spec, *(
+        o[(slice(None),) * t.index(index) + (slice(start, start + step),)] if index in t else o
+        for t, o in zip(terms.split(","), operands)
+    ))
 
 
 # name -> (mult field, unit field, loop scalar, group-like). Copy spiders are
@@ -263,15 +261,27 @@ def verify_frobenius(t: StructureTensors, which: str, tol: float = DEFAULT_TOL) 
     out.append(_entry(law, _diff(loop, k * np.eye(n)), tol))
 
     rng = np.random.default_rng(0)
-    perm_a = rng.permutation(3)
-    perm_b = rng.permutation(3)
+    out_a = "pq" + "".join("abc"[i] for i in rng.permutation(3))
+    out_b = "pq" + "".join("abc"[i] for i in rng.permutation(3))
     inner = _einsum("wab,owc->oabc", m, m)
-    tree_a = _einsum("opq,oabc->pqabc", mc, inner)
-    tree_b = _einsum("wab,wpv,qvc->pqabc", m, mc, m)
-    tree_a = tree_a.transpose(0, 1, *(2 + perm_a))
-    tree_b = tree_b.transpose(0, 1, *(2 + perm_b))
-    out.append(_entry(f"{which}.spider_fusion", _diff(tree_a, tree_b), tol))
+    out.append(_entry(
+        f"{which}.spider_fusion",
+        _blockwise_diff(("opq,oabc->" + out_a, mc, inner), ("wab,wpv,qvc->" + out_b, m, mc, m)),
+        tol,
+    ))
     return out
+
+
+def _cancellation(t: StructureTensors, my, mb) -> np.ndarray:
+    """The cancellation composite ``xg,wxb,wuv,rxu,or->ovgb`` of iota, the
+    yellow product, its conjugate, the black spider and p. Index x sits in
+    three operands, where ``optimize=True`` ends in one scaling-7
+    three-operand step; contracted pairwise with x kept as a batch index,
+    the result is the same array."""
+    pb = _einsum("or,rxu->oxu", t.p, mb)
+    iy = _einsum("xg,wxb->gwxb", t.iota, my)
+    pby = _einsum("oxu,wuv->oxwv", pb, my.conj())
+    return _einsum("gwxb,oxwv->ovgb", iy, pby)
 
 
 def verify_bialgebra_and_complementarity(t: StructureTensors, pair: str,
@@ -331,10 +341,8 @@ def verify_bialgebra_and_complementarity(t: StructureTensors, pair: str,
             tol,
         ))
     else:
-        my = m
-        cancel = _einsum("xg,wxb,wuv,rxu,or->ovgb", t.iota, my, my.conj(), mb, t.p)
         target = _einsum("og,vb->ovgb", np.eye(d - 1), np.eye(d))
-        out.append(_entry("yellow-black.cancellation", _diff(cancel, target), tol))
+        out.append(_entry("yellow-black.cancellation", _diff(_cancellation(t, m, mb), target), tol))
     return out
 
 
@@ -449,13 +457,22 @@ def verify_auxiliary_identities(t: StructureTensors, controlled: ControlledHadam
         tol,
     ))
 
-    lhs = _einsum("oab,awg,bxz,gyz->owxyz", mr, mr, my, my)
-    rhs = _einsum("oab,awg,byz,gxz->owxyz", mr, mr, my, my)
-    out.append(_entry("sum_reassociation", _diff(lhs, rhs), tol))
-
-    lhs = _einsum("obd,bwy,dxa,awg,gyz->owxyz", mr, my, my, mr, my)
-    rhs = _einsum("obd,bwx,day,awg,gxz->owxyz", mr, my, my, mr, my)
-    out.append(_entry("product_reassociation", _diff(lhs, rhs), tol))
+    out.append(_entry(
+        "sum_reassociation",
+        _blockwise_diff(
+            ("oab,awg,bxz,gyz->owxyz", mr, mr, my, my),
+            ("oab,awg,byz,gxz->owxyz", mr, mr, my, my),
+        ),
+        tol,
+    ))
+    out.append(_entry(
+        "product_reassociation",
+        _blockwise_diff(
+            ("obd,bwy,dxa,awg,gyz->owxyz", mr, my, my, mr, my),
+            ("obd,bwx,day,awg,gxz->owxyz", mr, my, my, mr, my),
+        ),
+        tol,
+    ))
 
     e1 = _einsum("ow,wab->oab", t.proj, mb)
     e2 = _einsum("oab,ax,by->oxy", mb, t.proj, t.proj)
@@ -471,7 +488,15 @@ def verify_auxiliary_identities(t: StructureTensors, controlled: ControlledHadam
 
 def run_axiom_suite(f: FiniteField, tol: float = DEFAULT_TOL) -> list:
     """Every law in this module for one field, with the additive character
-    table supplying the controlled Hadamard for the row-sum identity."""
+    table supplying the controlled Hadamard for the row-sum identity.
+    Refuses (``TooLarge``) before building anything when one d^4 complex
+    array would exceed ``MAX_ARRAY_BYTES``."""
+    nbytes = f.d**4 * np.dtype(np.complex128).itemsize
+    if nbytes > MAX_ARRAY_BYTES:
+        raise TooLarge(
+            f"axiom suite at d = {f.d} needs {nbytes} B per d^4 complex array, "
+            f"over the {MAX_ARRAY_BYTES} B limit"
+        )
     t = build_structure_tensors(f)
     controlled = controlled_from_copies(t.chi, f.d)
     report = []

@@ -20,7 +20,8 @@ class ReduciblePolynomial(MubkitError):
 
 
 class TooLarge(MubkitError):
-    """The requested field order exceeds the supported table size (2**16)."""
+    """The request exceeds a supported size: a field order above 2**16, or
+    an axiom suite whose d^4 arrays exceed ``axioms.MAX_ARRAY_BYTES``."""
 
 
 class IndexOutOfRange(MubkitError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mubkit import axioms, cplx
 from mubkit.axioms import (
     build_structure_tensors,
     ring_structure_tensors,
@@ -16,7 +17,7 @@ from mubkit.characters import (
     additive_character_matrix,
     controlled_from_copies,
 )
-from mubkit.errors import NotControlledHadamard
+from mubkit.errors import NotControlledHadamard, TooLarge
 from mubkit.gf import new_field
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
@@ -194,3 +195,162 @@ def test_ring_prime_modulus_passes_everything():
         report.extend(verify_frobenius(t, which))
     report.extend(verify_field_equations(t))
     assert failures(report) == []
+
+
+# -- one-shot oracles --------------------------------------------------------
+#
+# The suite contracts the cancellation law pairwise and the five-index laws
+# one block of their first output index at a time. These are the one-shot
+# einsums it replaced; each must give exactly the same residual.
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+DOTS = ("black", "red", "yellow_green", "green")
+
+
+def _oneshot(*args):
+    return np.einsum(*args, optimize=True)
+
+
+def _max_diff(a, b):
+    return cplx.max_abs(a - b)
+
+
+def oneshot_cancellation(t):
+    my = t.yellow_mult.astype(complex)
+    mb = t.black_mult.astype(complex)
+    return _oneshot("xg,wxb,wuv,rxu,or->ovgb", t.iota, my, my.conj(), mb, t.p)
+
+
+def oneshot_spider_fusion(m):
+    m = m.astype(complex)
+    mc = m.conj()
+    rng = np.random.default_rng(0)
+    perm_a = rng.permutation(3)
+    perm_b = rng.permutation(3)
+    inner = _oneshot("wab,owc->oabc", m, m)
+    tree_a = _oneshot("opq,oabc->pqabc", mc, inner).transpose(0, 1, *(2 + perm_a))
+    tree_b = _oneshot("wab,wpv,qvc->pqabc", m, mc, m).transpose(0, 1, *(2 + perm_b))
+    return _max_diff(tree_a, tree_b)
+
+
+def oneshot_residuals(t):
+    """Residuals of every law the suite no longer contracts in one shot."""
+    out = {
+        f"{which}.spider_fusion": oneshot_spider_fusion(getattr(t, axioms._ALGEBRAS[which][0]))
+        for which in DOTS
+    }
+    d = t.d
+    target = _oneshot("og,vb->ovgb", np.eye(d - 1), np.eye(d))
+    out["yellow-black.cancellation"] = _max_diff(oneshot_cancellation(t), target)
+    mr = t.red_mult.astype(complex)
+    my = t.yellow_mult.astype(complex)
+    out["sum_reassociation"] = _max_diff(
+        _oneshot("oab,awg,bxz,gyz->owxyz", mr, mr, my, my),
+        _oneshot("oab,awg,byz,gxz->owxyz", mr, mr, my, my),
+    )
+    out["product_reassociation"] = _max_diff(
+        _oneshot("obd,bwy,dxa,awg,gyz->owxyz", mr, my, my, mr, my),
+        _oneshot("obd,bwx,day,awg,gxz->owxyz", mr, my, my, mr, my),
+    )
+    return out
+
+
+def suite_residuals(t):
+    report = []
+    for which in DOTS:
+        report.extend(verify_frobenius(t, which))
+    report.extend(verify_bialgebra_and_complementarity(t, "yellow-black"))
+    report.extend(verify_auxiliary_identities(t, controlled_from_copies(t.chi, t.d)))
+    return {r["equation"]: r["residual"] for r in report}
+
+
+def assert_matches_oneshot(t):
+    expected = oneshot_residuals(t)
+    got = suite_residuals(t)
+    assert {k: got[k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("p,n", ORACLE_FIELDS)
+def test_staged_laws_match_oneshot_oracle(p, n):
+    t = build_structure_tensors(new_field(p, n))
+    assert_matches_oneshot(t)
+    my = t.yellow_mult.astype(complex)
+    staged = axioms._cancellation(t, my, t.black_mult.astype(complex))
+    assert np.array_equal(staged, oneshot_cancellation(t))
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_ring_controls_match_oneshot_oracle(d):
+    t = ring_structure_tensors(d)
+    expected = oneshot_residuals(t)
+    assert expected["yellow_green.spider_fusion"] > 0
+    assert expected["yellow-black.cancellation"] > 0
+    assert_matches_oneshot(t)
+
+
+def test_blocked_contraction_covers_every_block():
+    """At n = 17 a slice is 1.3 MB, so the first output index is split into
+    several blocks, the last one short. A difference planted only in that
+    last block must still be reported, and at the one-shot value."""
+    rng = np.random.default_rng(7)
+    n = 17
+    ops = [rng.integers(0, 3, (n, n, n)).astype(complex) for _ in range(4)]
+    spec = "oab,awg,bxz,gyz->owxyz"
+    step = -(-axioms._MIN_BLOCK_BYTES // (16 * n**4))
+    assert step < n and n % step != 0
+    planted = ops[0].copy()
+    planted[n - 1, 2, 5] += 2.0
+    expected = _max_diff(_oneshot(spec, *ops), _oneshot(spec, planted, *ops[1:]))
+    assert expected > 0
+    assert axioms._blockwise_diff((spec, *ops), (spec, planted, *ops[1:])) == expected
+
+
+def test_ring_control_large_composite_matches_oneshot():
+    """Z_18: the green dots have n = 17, so spider fusion runs in several
+    blocks, and its residual is nonzero."""
+    t = ring_structure_tensors(18)
+    expected = oneshot_spider_fusion(t.mul_group_mult)
+    assert expected > 0
+    got = {r["equation"]: r["residual"] for r in verify_frobenius(t, "yellow_green")}
+    assert got["yellow_green.spider_fusion"] == expected
+
+
+def _ring_tensors_by_loops(d):
+    """The per-entry loops that built the Z_d group tensor and character
+    table before they were vectorized."""
+    group = np.zeros((d - 1, d - 1, d - 1))
+    for a in range(1, d):
+        for b in range(1, d):
+            c = (a * b) % d
+            if c != 0:
+                group[c - 1, a - 1, b - 1] = 1.0
+    chi = np.array(
+        [[cplx.unit_root(a * b, d) for b in range(d)] for a in range(d)],
+        dtype=np.complex128,
+    )
+    return group, chi
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_ring_tensors_equal_the_loops(d):
+    t = ring_structure_tensors(d)
+    group, chi = _ring_tensors_by_loops(d)
+    assert np.array_equal(t.mul_group_mult, group)
+    assert np.array_equal(t.chi, chi)
+    assert t.chi.dtype == chi.dtype
+
+
+def test_suite_refuses_oversized_field_before_building(monkeypatch):
+    """d = 64 passes the size check (64^4 * 16 B is exactly the limit) and
+    d = 67 is refused before any tensor is built."""
+    class Building(Exception):
+        pass
+
+    def stop_before_building(f):
+        raise Building(f.d)
+
+    monkeypatch.setattr(axioms, "build_structure_tensors", stop_before_building)
+    with pytest.raises(Building):
+        run_axiom_suite(new_field(2, 6))
+    with pytest.raises(TooLarge, match="d = 67"):
+        run_axiom_suite(new_field(67, 1))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -242,3 +243,20 @@ def test_axioms_command(tmp_path, capsys):
 
 def test_axioms_command_rejects_bad_field(capsys):
     assert run(["axioms", "--p", 6, "--n", 1]) == 2
+
+
+def test_axioms_stdout_is_pinned(capsys):
+    """The staged and block-wise contractions print the same report, byte for
+    byte, as the one-shot einsums they replaced."""
+    assert run(["axioms", "--p", 3, "--n", 2]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d6d8f4547bbebcdd4ffa4c03749ac0308e89a863247467091f735732fbdc5b42"
+
+
+def test_axioms_refuses_oversized_field_before_allocating(capsys):
+    start = time.perf_counter()
+    assert run(["axioms", "--p", 2, "--n", 7]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooLarge: ") and "Traceback" not in err
+    assert "d = 128" in err and str(128**4 * 16) in err
