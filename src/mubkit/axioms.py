@@ -11,13 +11,17 @@ Four commutative algebras live on concrete index spaces:
 
 Green labels k correspond to black labels k+1 through the inclusion
 ``iota`` and retraction ``p``; ``proj = iota @ p`` kills the zero state.
+All of these are real 0/1 arrays (float64), so the adjoint of a tensor is
+its transpose: each law wires it in by einsum index order and no tensor is
+conjugated. Only the character tables ``chi`` and ``psi`` are complex.
 Every equation below is checked by contracting both sides to explicit
 arrays and comparing. The five-index laws are compared one block of their
 first output index at a time, each block the fewest d^4 slices that make
-up 8 MiB (a single slice from d = 27 on), so past d = 14 no law holds a
-full d^5 tensor and the largest array is one d^4 tensor or one block. The
-suite refuses (``TooLarge``) a field whose d^4 complex array would exceed
-``MAX_ARRAY_BYTES`` = 256 MiB, which admits d <= 64.
+up 8 MiB (a single slice from d = 32 on). A block is a whole five-index
+tensor only up to 16^5 entries, so from d = 18 on no law holds a full d^5
+tensor and the largest array is one d^4 tensor or one block. The suite
+refuses (``TooLarge``) a field whose d^4 real array would exceed
+``MAX_ARRAY_BYTES`` = 128 MiB, which admits d <= 64.
 A modular-ring variant with composite d serves as the negative control:
 it must fail exactly at the multiplicative-group laws.
 """
@@ -43,8 +47,8 @@ from .gf import FiniteField
 
 DEFAULT_TOL = 1e-10
 
-# Size limit on one d^4 complex128 array (the suite's largest): 256 MiB.
-MAX_ARRAY_BYTES = 256 << 20
+# Size limit on one d^4 float64 array (the suite's largest): 128 MiB.
+MAX_ARRAY_BYTES = 128 << 20
 
 # A five-index law is contracted in blocks of its first output index, each
 # the fewest d^4 slices that make up this size. In smaller blocks the page
@@ -190,7 +194,7 @@ def _blockwise_diff(lhs: tuple, rhs: tuple) -> float:
     spec, *operands = lhs
     terms, out = spec.split("->")
     sizes = {c: n for t, o in zip(terms.split(","), operands) for c, n in zip(t, o.shape)}
-    slice_bytes = 16 * math.prod(sizes[c] for c in out[1:])  # complex128
+    slice_bytes = np.result_type(*operands).itemsize * math.prod(sizes[c] for c in out[1:])
     step = -(-_MIN_BLOCK_BYTES // slice_bytes)
     return max(
         _diff(_einsum(*_block(lhs, k, step)), _einsum(*_block(rhs, k, step)))
@@ -221,42 +225,42 @@ _ALGEBRAS = {
 }
 
 
+def _monoid_residuals(m, u) -> dict:
+    """Associativity, two-sided unit and commutativity residuals of the
+    product ``m`` with unit ``u``."""
+    eye = np.eye(m.shape[0])
+    return {
+        "associativity": _diff(_einsum("wab,owc->oabc", m, m), _einsum("oaw,wbc->oabc", m, m)),
+        "unit": max(_diff(_einsum("oub,u->ob", m, u), eye), _diff(_einsum("oau,u->oa", m, u), eye)),
+        "commutativity": _diff(m, m.transpose(0, 2, 1)),
+    }
+
+
 def verify_frobenius(t: StructureTensors, which: str, tol: float = DEFAULT_TOL) -> list:
     """Monoid, Frobenius and (quasi-)specialness laws for one dot, plus a
     spider-fusion spot check on two differently wired 3-in/2-out trees."""
     mult_name, unit_name, scale, group_like = _ALGEBRAS[which]
-    m = np.asarray(getattr(t, mult_name), dtype=np.complex128)
-    u = np.asarray(getattr(t, unit_name), dtype=np.complex128)
+    m = getattr(t, mult_name)
     n = m.shape[0]
     k = scale(t.d)
     out = []
 
     if group_like:
         out.append(_entry(f"{which}.closure", _diff(m.sum(axis=0), np.ones((n, n))), tol))
-    out.append(_entry(
-        f"{which}.associativity",
-        _diff(_einsum("wab,owc->oabc", m, m), _einsum("oaw,wbc->oabc", m, m)),
-        tol,
-    ))
-    left_unit = _einsum("oub,u->ob", m, u)
-    right_unit = _einsum("oau,u->oa", m, u)
-    out.append(_entry(
-        f"{which}.unit",
-        max(_diff(left_unit, np.eye(n)), _diff(right_unit, np.eye(n))),
-        tol,
-    ))
-    out.append(_entry(f"{which}.commutativity", _diff(m, m.transpose(0, 2, 1)), tol))
+    out.extend(
+        _entry(f"{which}.{law}", r, tol)
+        for law, r in _monoid_residuals(m, getattr(t, unit_name)).items()
+    )
 
-    mc = m.conj()
-    frob_left = _einsum("aow,pwb->opab", mc, m)
-    frob_mid = _einsum("wop,wab->opab", mc, m)
-    frob_right = _einsum("oaw,bwp->opab", m, mc)
+    frob_left = _einsum("aow,pwb->opab", m, m)
+    frob_mid = _einsum("wop,wab->opab", m, m)
+    frob_right = _einsum("oaw,bwp->opab", m, m)
     out.append(_entry(
         f"{which}.frobenius",
         max(_diff(frob_left, frob_mid), _diff(frob_mid, frob_right)),
         tol,
     ))
-    loop = _einsum("oab,wab->ow", m, mc)
+    loop = _einsum("oab,wab->ow", m, m)
     law = f"{which}.special" if k == 1 else f"{which}.quasi_special"
     out.append(_entry(law, _diff(loop, k * np.eye(n)), tol))
 
@@ -266,21 +270,22 @@ def verify_frobenius(t: StructureTensors, which: str, tol: float = DEFAULT_TOL) 
     inner = _einsum("wab,owc->oabc", m, m)
     out.append(_entry(
         f"{which}.spider_fusion",
-        _blockwise_diff(("opq,oabc->" + out_a, mc, inner), ("wab,wpv,qvc->" + out_b, m, mc, m)),
+        _blockwise_diff(("opq,oabc->" + out_a, m, inner), ("wab,wpv,qvc->" + out_b, m, m, m)),
         tol,
     ))
     return out
 
 
-def _cancellation(t: StructureTensors, my, mb) -> np.ndarray:
+def _cancellation(t: StructureTensors) -> np.ndarray:
     """The cancellation composite ``xg,wxb,wuv,rxu,or->ovgb`` of iota, the
-    yellow product, its conjugate, the black spider and p. Index x sits in
+    yellow product, its adjoint, the black spider and p. Index x sits in
     three operands, where ``optimize=True`` ends in one scaling-7
     three-operand step; contracted pairwise with x kept as a batch index,
     the result is the same array."""
-    pb = _einsum("or,rxu->oxu", t.p, mb)
+    my = t.yellow_mult
+    pb = _einsum("or,rxu->oxu", t.p, t.black_mult)
     iy = _einsum("xg,wxb->gwxb", t.iota, my)
-    pby = _einsum("oxu,wuv->oxwv", pb, my.conj())
+    pby = _einsum("oxu,wuv->oxwv", pb, my)
     return _einsum("gwxb,oxwv->ovgb", iy, pby)
 
 
@@ -290,40 +295,37 @@ def verify_bialgebra_and_complementarity(t: StructureTensors, pair: str,
     strong complementarity and reality for addition, the cancellation
     identity for multiplication (the two are not strongly complementary)."""
     if pair == "red-black":
-        m = np.asarray(t.red_mult, dtype=np.complex128)
-        u = np.asarray(t.red_unit, dtype=np.complex128)
+        m, u = t.red_mult, t.red_unit
     elif pair == "yellow-black":
-        m = np.asarray(t.yellow_mult, dtype=np.complex128)
-        u = np.asarray(t.yellow_unit, dtype=np.complex128)
+        m, u = t.yellow_mult, t.yellow_unit
     else:
         raise ValueError(f"unknown pair {pair!r}")
-    mb = np.asarray(t.black_mult, dtype=np.complex128)
-    mbc = mb.conj()
+    mb = t.black_mult
     d = t.d
     out = []
 
-    lhs = _einsum("wop,wab->opab", mbc, m)
-    rhs = _einsum("axy,buv,oxu,pyv->opab", mbc, mbc, m, m)
+    lhs = _einsum("wop,wab->opab", mb, m)
+    rhs = _einsum("axy,buv,oxu,pyv->opab", mb, mb, m, m)
     out.append(_entry(f"{pair}.bialgebra_mult_copy", _diff(lhs, rhs), tol))
     out.append(_entry(f"{pair}.bialgebra_mult_counit", _diff(m.sum(axis=0), np.ones((d, d))), tol))
     out.append(_entry(
         f"{pair}.bialgebra_unit_copy",
-        _diff(_einsum("wop,w->op", mbc, u), np.outer(u, u)),
+        _diff(_einsum("wop,w->op", mb, u), np.outer(u, u)),
         tol,
     ))
     out.append(_entry(f"{pair}.bialgebra_unit_counit", abs(u.sum() - 1.0), tol))
 
     if pair == "red-black":
-        s1 = _einsum("aow,pwb->opab", mbc, m).reshape(d * d, d * d)
-        s2 = _einsum("aow,pwb->opab", m.conj(), mb).reshape(d * d, d * d)
+        s1 = _einsum("aow,pwb->opab", mb, m).reshape(d * d, d * d)
+        s2 = _einsum("aow,pwb->opab", m, mb).reshape(d * d, d * d)
         out.append(_entry(
             "red-black.strong_complementarity_copy_then_add",
-            _diff(s1.conj().T @ s1, np.eye(d * d)),
+            _diff(s1.T @ s1, np.eye(d * d)),
             tol,
         ))
         out.append(_entry(
             "red-black.strong_complementarity_split_then_copy",
-            _diff(s2.conj().T @ s2, np.eye(d * d)),
+            _diff(s2.T @ s2, np.eye(d * d)),
             tol,
         ))
         fourier = t.chi / np.sqrt(d)
@@ -342,26 +344,23 @@ def verify_bialgebra_and_complementarity(t: StructureTensors, pair: str,
         ))
     else:
         target = _einsum("og,vb->ovgb", np.eye(d - 1), np.eye(d))
-        out.append(_entry("yellow-black.cancellation", _diff(_cancellation(t, m, mb), target), tol))
+        out.append(_entry("yellow-black.cancellation", _diff(_cancellation(t), target), tol))
     return out
 
 
 def verify_field_equations(t: StructureTensors, tol: float = DEFAULT_TOL) -> list:
     """Distributivity, the mixed character law, the inclusion/retraction
     relationships, and the projector identities, each contracted in full."""
-    mr = np.asarray(t.red_mult, dtype=np.complex128)
-    my = np.asarray(t.yellow_mult, dtype=np.complex128)
-    mb = np.asarray(t.black_mult, dtype=np.complex128)
-    mbc = mb.conj()
+    mr, my, mb = t.red_mult, t.yellow_mult, t.black_mult
     d = t.d
     out = []
 
     lhs = _einsum("oaw,wbc->oabc", my, mr)
-    rhs = _einsum("axy,uxb,vyc,ouv->oabc", mbc, my, my, mr)
+    rhs = _einsum("axy,uxb,vyc,ouv->oabc", mb, my, my, mr)
     out.append(_entry("distributivity_left", _diff(lhs, rhs), tol))
 
     lhs = _einsum("owc,wab->oabc", my, mr)
-    rhs = _einsum("cxy,uax,vby,ouv->oabc", mbc, my, my, mr)
+    rhs = _einsum("cxy,uax,vby,ouv->oabc", mb, my, my, mr)
     out.append(_entry("distributivity_right", _diff(lhs, rhs), tol))
 
     out.append(_entry(
@@ -370,21 +369,11 @@ def verify_field_equations(t: StructureTensors, tol: float = DEFAULT_TOL) -> lis
         tol,
     ))
 
-    left_unit = _einsum("oub,u->ob", my, t.yellow_unit.astype(np.complex128))
-    right_unit = _einsum("oau,u->oa", my, t.yellow_unit.astype(np.complex128))
-    out.append(_entry(
-        "full_multiplication_unit",
-        max(_diff(left_unit, np.eye(d)), _diff(right_unit, np.eye(d))),
-        tol,
-    ))
-    out.append(_entry(
-        "full_multiplication_associativity",
-        _diff(_einsum("wab,owc->oabc", my, my), _einsum("oaw,wbc->oabc", my, my)),
-        tol,
-    ))
-    out.append(_entry(
-        "full_multiplication_commutativity", _diff(my, my.transpose(0, 2, 1)), tol
-    ))
+    monoid = _monoid_residuals(my, t.yellow_unit)
+    out.extend(
+        _entry(f"full_multiplication_{law}", monoid[law], tol)
+        for law in ("unit", "associativity", "commutativity")
+    )
 
     out.append(_entry("retraction_of_inclusion", _diff(t.p @ t.iota, np.eye(d - 1)), tol))
     out.append(_entry("retraction_of_black_unit", _diff(t.p @ t.black_unit, t.green_unit), tol))
@@ -418,10 +407,9 @@ def verify_field_equations(t: StructureTensors, tol: float = DEFAULT_TOL) -> lis
             ),
             tol,
         ))
-        group = t.mul_group_mult.astype(np.complex128)
         out.append(_entry(
             "multiplicative_character_homomorphism",
-            _diff(_einsum("jc,cab->jab", psi, group), _einsum("ja,jb->jab", psi, psi)),
+            _diff(_einsum("jc,cab->jab", psi, t.mul_group_mult), _einsum("ja,jb->jab", psi, psi)),
             tol,
         ))
     out.append(_entry(
@@ -439,9 +427,7 @@ def verify_auxiliary_identities(t: StructureTensors, controlled: ControlledHadam
     and the projector/copy-spider exchange."""
     if not is_controlled_hadamard(controlled, tol=max(tol, 1e-9)):
         raise NotControlledHadamard("family member fails the Hadamard conditions")
-    mr = np.asarray(t.red_mult, dtype=np.complex128)
-    my = np.asarray(t.yellow_mult, dtype=np.complex128)
-    mb = np.asarray(t.black_mult, dtype=np.complex128)
+    mr, my, mb = t.red_mult, t.yellow_mult, t.black_mult
     d = t.d
     out = []
 
@@ -489,12 +475,12 @@ def verify_auxiliary_identities(t: StructureTensors, controlled: ControlledHadam
 def run_axiom_suite(f: FiniteField, tol: float = DEFAULT_TOL) -> list:
     """Every law in this module for one field, with the additive character
     table supplying the controlled Hadamard for the row-sum identity.
-    Refuses (``TooLarge``) before building anything when one d^4 complex
+    Refuses (``TooLarge``) before building anything when one d^4 real
     array would exceed ``MAX_ARRAY_BYTES``."""
-    nbytes = f.d**4 * np.dtype(np.complex128).itemsize
+    nbytes = f.d**4 * np.dtype(np.float64).itemsize
     if nbytes > MAX_ARRAY_BYTES:
         raise TooLarge(
-            f"axiom suite at d = {f.d} needs {nbytes} B per d^4 complex array, "
+            f"axiom suite at d = {f.d} needs {nbytes} B per d^4 real array, "
             f"over the {MAX_ARRAY_BYTES} B limit"
         )
     t = build_structure_tensors(f)

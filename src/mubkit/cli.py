@@ -9,6 +9,7 @@ are deterministic for identical flags (fixed seeds, canonical key order,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -28,6 +29,18 @@ from .mub import mub_from_ueb, mub_residuals
 
 USAGE_OR_IO = 2
 VERIFY_FAIL = 1
+
+
+def _tolerance(text):
+    """``--tol``: a finite positive number. An infinite tolerance would pass
+    every law and a NaN, zero or negative one would fail every law."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return tol
 
 
 def _parse_poly(text):
@@ -79,7 +92,7 @@ def _residuals(kind, obj, tol):
     """Residual entries of a loaded manifest object."""
     if kind == "field":
         manifests.field_from_manifest(obj)  # raises if p is not prime or the modulus is reducible
-        return [{"equation": "field_valid", "residual": 0.0, "pass": True}]
+        return [cplx.residual_entry("field_valid", 0.0, tol)]
     if kind == "hadamard":
         return hadamard_residuals(manifests.hadamard_from_manifest(obj), tol)
     if kind == "controlled_hadamard":
@@ -94,12 +107,16 @@ def _residuals(kind, obj, tol):
     raise ManifestError(f"unknown manifest kind {kind!r}")
 
 
+def _print_report(report) -> int:
+    """Print one line per law; returns the number of failed laws."""
+    for r in report:
+        print(f"{r['equation']}: residual {r['residual']:.3e} {'PASS' if r['pass'] else 'FAIL'}")
+    return sum(not r["pass"] for r in report)
+
+
 def cmd_verify(args) -> int:
     obj = manifests.load_manifest(args.path)
-    results = _residuals(obj["kind"], obj, args.tol)
-    for r in results:
-        print(f"{r['equation']}: residual {r['residual']:.3e} {'PASS' if r['pass'] else 'FAIL'}")
-    return 0 if all(r["pass"] for r in results) else VERIFY_FAIL
+    return VERIFY_FAIL if _print_report(_residuals(obj["kind"], obj, args.tol)) else 0
 
 
 def cmd_theta(args) -> int:
@@ -128,12 +145,8 @@ def cmd_phi(args) -> int:
 def cmd_axioms(args) -> int:
     field = new_field(args.p, args.n, _parse_poly(args.poly))
     report = axioms.run_axiom_suite(field, args.tol)
-    worst = 0.0
-    failed = 0
-    for r in report:
-        print(f"{r['equation']}: residual {r['residual']:.3e} {'PASS' if r['pass'] else 'FAIL'}")
-        worst = max(worst, r["residual"])
-        failed += 0 if r["pass"] else 1
+    failed = _print_report(report)
+    worst = max([0.0] + [r["residual"] for r in report])
     print(f"{len(report) - failed}/{len(report)} equations passed (worst residual {worst:.3e})")
     return 0 if failed == 0 else VERIFY_FAIL
 
@@ -147,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True):
-        p.add_argument("--tol", type=float, default=cplx.DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=cplx.DEFAULT_TOL)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 

@@ -109,12 +109,7 @@ def is_latin_square(square) -> bool:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         return False
     want = np.arange(s.shape[0])
-    for k in range(s.shape[0]):
-        if not np.array_equal(np.sort(s[k, :]), want):
-            return False
-        if not np.array_equal(np.sort(s[:, k]), want):
-            return False
-    return True
+    return bool((np.sort(s, axis=1) == want).all() and (np.sort(s, axis=0) == want[:, None]).all())
 
 
 def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> np.ndarray:

@@ -21,7 +21,7 @@ class ReduciblePolynomial(MubkitError):
 
 class TooLarge(MubkitError):
     """The request exceeds a supported size: a field order above 2**16, or
-    an axiom suite whose d^4 arrays exceed ``axioms.MAX_ARRAY_BYTES``."""
+    an axiom suite whose d^4 real arrays exceed ``axioms.MAX_ARRAY_BYTES``."""
 
 
 class IndexOutOfRange(MubkitError):

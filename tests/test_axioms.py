@@ -274,9 +274,7 @@ def assert_matches_oneshot(t):
 def test_staged_laws_match_oneshot_oracle(p, n):
     t = build_structure_tensors(new_field(p, n))
     assert_matches_oneshot(t)
-    my = t.yellow_mult.astype(complex)
-    staged = axioms._cancellation(t, my, t.black_mult.astype(complex))
-    assert np.array_equal(staged, oneshot_cancellation(t))
+    assert np.array_equal(axioms._cancellation(t), oneshot_cancellation(t))
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -288,21 +286,32 @@ def test_ring_controls_match_oneshot_oracle(d):
     assert_matches_oneshot(t)
 
 
-def test_blocked_contraction_covers_every_block():
-    """At n = 17 a slice is 1.3 MB, so the first output index is split into
-    several blocks, the last one short. A difference planted only in that
-    last block must still be reported, and at the one-shot value."""
+@pytest.mark.parametrize("dtype,n", [(np.complex128, 17), (np.float64, 20)])
+def test_blocked_contraction_covers_every_block(monkeypatch, dtype, n):
+    """A slice of n^4 entries is over 1 MB, so the first output index is
+    split into several blocks sized from the operands' itemsize, the last
+    one short. A difference planted only in that last block must still be
+    reported, and at the one-shot value."""
     rng = np.random.default_rng(7)
-    n = 17
-    ops = [rng.integers(0, 3, (n, n, n)).astype(complex) for _ in range(4)]
+    ops = [rng.integers(0, 3, (n, n, n)).astype(dtype) for _ in range(4)]
     spec = "oab,awg,bxz,gyz->owxyz"
-    step = -(-axioms._MIN_BLOCK_BYTES // (16 * n**4))
-    assert step < n and n % step != 0
+    step = -(-axioms._MIN_BLOCK_BYTES // (np.dtype(dtype).itemsize * n**4))
+    assert n // step >= 2 and n % step != 0
     planted = ops[0].copy()
     planted[n - 1, 2, 5] += 2.0
     expected = _max_diff(_oneshot(spec, *ops), _oneshot(spec, planted, *ops[1:]))
     assert expected > 0
+
+    starts = []
+    block = axioms._block
+
+    def recording_block(contraction, start, step):
+        starts.append((start, step))
+        return block(contraction, start, step)
+
+    monkeypatch.setattr(axioms, "_block", recording_block)
     assert axioms._blockwise_diff((spec, *ops), (spec, planted, *ops[1:])) == expected
+    assert starts == [(k, step) for k in range(0, n, step) for _ in range(2)]
 
 
 def test_ring_control_large_composite_matches_oneshot():
@@ -341,7 +350,7 @@ def test_ring_tensors_equal_the_loops(d):
 
 
 def test_suite_refuses_oversized_field_before_building(monkeypatch):
-    """d = 64 passes the size check (64^4 * 16 B is exactly the limit) and
+    """d = 64 passes the size check (64^4 * 8 B is exactly the limit) and
     d = 67 is refused before any tensor is built."""
     class Building(Exception):
         pass

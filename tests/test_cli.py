@@ -245,12 +245,17 @@ def test_axioms_command_rejects_bad_field(capsys):
     assert run(["axioms", "--p", 6, "--n", 1]) == 2
 
 
-def test_axioms_stdout_is_pinned(capsys):
-    """The staged and block-wise contractions print the same report, byte for
-    byte, as the one-shot einsums they replaced."""
-    assert run(["axioms", "--p", 3, "--n", 2]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "d6d8f4547bbebcdd4ffa4c03749ac0308e89a863247467091f735732fbdc5b42"
+@pytest.mark.parametrize("p,n,digest", [
+    (3, 2, "d6d8f4547bbebcdd4ffa4c03749ac0308e89a863247467091f735732fbdc5b42"),
+    (2, 4, "b48d3818085e1f9a75ca3ad706b06e8b9300e49e6a9bffee47afb046237c189e"),
+    (17, 1, "508958abeb2d8f5a18d9a1573d01aecb3e6a412c66444f87f872920b05c4a07c"),
+    (19, 1, "0f5256d678bd27ccb6feea83468e8439ad49c5a6b3dff2b6d9556181641d222d"),
+])
+def test_axioms_stdout_is_pinned(capsys, p, n, digest):
+    """The staged, block-wise, real-valued contractions print the same
+    report, byte for byte, as the one-shot complex einsums they replaced."""
+    assert run(["axioms", "--p", p, "--n", n]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_axioms_refuses_oversized_field_before_allocating(capsys):
@@ -259,4 +264,25 @@ def test_axioms_refuses_oversized_field_before_allocating(capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: TooLarge: ") and "Traceback" not in err
-    assert "d = 128" in err and str(128**4 * 16) in err
+    assert "d = 128" in err and str(128**4 * 8) in err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "theta", "phi", "axioms"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_every_command_refuses_a_tolerance_that_is_not_finite_and_positive(
+        tmp_path, capsys, command, tol):
+    """An infinite tolerance passes every law and a NaN, zero or negative one
+    fails every law, so each command refuses them as a usage error."""
+    args = {
+        "construct": ["--p", 2, "--n", 1, "--out", tmp_path],
+        "verify": [tmp_path / "field.json"],
+        "theta": [tmp_path / "ueb.json", "--out", tmp_path / "mub.json"],
+        "phi": [tmp_path / "mub.json", tmp_path / "h.json", tmp_path / "g.json",
+                "--out", tmp_path / "out.json"],
+        "axioms": ["--p", 2, "--n", 1],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -119,7 +119,10 @@ def test_duplicate_operator_breaks_trace_law():
 def test_is_latin_square():
     f = new_field(2, 2)
     assert is_latin_square(f.add_table)
-    assert not is_latin_square([[0, 1], [0, 1]])
+    assert not is_latin_square([[0, 1], [0, 1]])  # columns repeat
+    assert not is_latin_square([[0, 0], [1, 1]])  # only the rows repeat
+    assert not is_latin_square([[0, 1, 2], [1, 2, 0]])  # not square
+    assert not is_latin_square([0, 1])  # 1-D
 
 
 def test_shift_multiply_gf2_matches_field_construction():
