@@ -15,11 +15,11 @@ All of these are real 0/1 arrays (float64), so the adjoint of a tensor is
 its transpose: each law wires it in by einsum index order and no tensor is
 conjugated. Only the character tables ``chi`` and ``psi`` are complex.
 Every equation below is checked by contracting both sides to explicit
-arrays and comparing. The five-index laws are compared one block of their
-first output index at a time, each block the fewest d^4 slices that make
-up 8 MiB (a single slice from d = 32 on). A block is a whole five-index
-tensor only up to 16^5 entries, so from d = 18 on no law holds a full d^5
-tensor and the largest array is one d^4 tensor or one block. The suite
+arrays and comparing. The five-index laws (spider fusion and the two
+reassociations) are equations between table lookups: each product tensor's
+partial function table is read off the tensor itself (``_table``), and the
+laws are evaluated on index grids of at most four indices. The largest
+array is one d^4 float64 tensor; no law builds a five-index array. The suite
 refuses (``TooLarge``) a field whose d^4 real array would exceed
 ``MAX_ARRAY_BYTES`` = 128 MiB, which admits d <= 64.
 A modular-ring variant with composite d serves as the negative control:
@@ -28,7 +28,6 @@ it must fail exactly at the multiplicative-group laws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +48,6 @@ DEFAULT_TOL = 1e-10
 
 # Size limit on one d^4 float64 array (the suite's largest): 128 MiB.
 MAX_ARRAY_BYTES = 128 << 20
-
-# A five-index law is contracted in blocks of its first output index, each
-# the fewest d^4 slices that make up this size. In smaller blocks the page
-# faults of each freshly allocated block cost more than its arithmetic
-# (measured at d = 16-19).
-_MIN_BLOCK_BYTES = 8 << 20
 
 
 def _einsum(*args, **kwargs):
@@ -185,33 +178,40 @@ def _diff(a, b) -> float:
     return cplx.max_abs(np.asarray(a) - np.asarray(b))
 
 
-def _blockwise_diff(lhs: tuple, rhs: tuple) -> float:
-    """``_diff`` of two einsum contractions, each ``(spec, *operands)``, whose
-    outputs start with the same index. Both sides are contracted one block of
-    that index at a time, so neither full output is held. Every entry is a
-    sum of small integers and a maximum ignores order, so the value is
-    exactly the one-shot ``_diff``."""
-    spec, *operands = lhs
-    terms, out = spec.split("->")
-    sizes = {c: n for t, o in zip(terms.split(","), operands) for c, n in zip(t, o.shape)}
-    slice_bytes = np.result_type(*operands).itemsize * math.prod(sizes[c] for c in out[1:])
-    step = -(-_MIN_BLOCK_BYTES // slice_bytes)
-    return max(
-        _diff(_einsum(*_block(lhs, k, step)), _einsum(*_block(rhs, k, step)))
-        for k in range(0, sizes[out[0]], step)
-    )
+def _table(m: np.ndarray, name: str) -> np.ndarray:
+    """The partial function table T of a product tensor, m[c, a, b] = [c =
+    T(a, b)], read off the tensor itself, with -1 where the product is
+    undefined. T carries one extra row and column of -1, so the index -1
+    reads as undefined too and compositions such as T[T[a, b], c] propagate
+    it. Anything but the 0/1 tensor of a partial function is refused
+    (``ValueError``), which makes a law on the table equal the law on the
+    tensor."""
+    n = m.shape[0]
+    # one byte per entry for n <= 128, so a d^4 grid of lookups stays small
+    table = np.full((n + 1, n + 1), -1, dtype=np.min_scalar_type(-n))
+    table[:n, :n] = np.where(m.any(axis=0), m.argmax(axis=0), -1)
+    if not np.array_equal(np.arange(n)[:, None, None] == table[:n, :n], m):
+        raise ValueError(f"{name} is not the 0/1 tensor of a partial function")
+    return table
 
 
-def _block(contraction: tuple, start: int, step: int) -> tuple:
-    """The contraction restricted to ``start:start + step`` of its first
-    output index."""
-    spec, *operands = contraction
-    terms, out = spec.split("->")
-    index = out[0]
-    return (spec, *(
-        o[(slice(None),) * t.index(index) + (slice(start, start + step),)] if index in t else o
-        for t, o in zip(terms.split(","), operands)
-    ))
+def _spider_fusion(m: np.ndarray, name: str) -> float:
+    """Difference of the 3-in/2-out trees ``opq,oabc->pqcab`` (with
+    oabc = ``wab,owc``) and ``wab,wpv,qvc->pqcba``. The first is [T(p, q) =
+    T(T(a, b), c)] and the second X[T(b, a), p, q, c] for the count
+    X = ``wpv,qvc->wpqc``. At output (p, q, c, a, b) both depend on a and b
+    only through the pair (T(a, b), T(b, a)), so the trees are compared once
+    per distinct pair."""
+    n = m.shape[0]
+    table = _table(m, name)
+    t = table[:n, :n]
+    x = _einsum("wpv,qvc->wpqc", m, m)
+    pq = t[:, :, None]
+    worst = 0.0
+    for s, r in np.unique(np.stack([t, t.T], axis=-1).reshape(-1, 2), axis=0):
+        left = (pq == table[s, :n]) & (pq >= 0)
+        worst = max(worst, _diff(left, x[r] if r >= 0 else 0.0))
+    return worst
 
 
 # name -> (mult field, unit field, loop scalar, group-like). Copy spiders are
@@ -264,15 +264,7 @@ def verify_frobenius(t: StructureTensors, which: str, tol: float = DEFAULT_TOL) 
     law = f"{which}.special" if k == 1 else f"{which}.quasi_special"
     out.append(_entry(law, _diff(loop, k * np.eye(n)), tol))
 
-    rng = np.random.default_rng(0)
-    out_a = "pq" + "".join("abc"[i] for i in rng.permutation(3))
-    out_b = "pq" + "".join("abc"[i] for i in rng.permutation(3))
-    inner = _einsum("wab,owc->oabc", m, m)
-    out.append(_entry(
-        f"{which}.spider_fusion",
-        _blockwise_diff(("opq,oabc->" + out_a, m, inner), ("wab,wpv,qvc->" + out_b, m, m, m)),
-        tol,
-    ))
+    out.append(_entry(f"{which}.spider_fusion", _spider_fusion(m, mult_name), tol))
     return out
 
 
@@ -337,6 +329,8 @@ def verify_bialgebra_and_complementarity(t: StructureTensors, pair: str,
             ),
             tol,
         ))
+        # Holds by dtype for the tensors this module builds (float64); it
+        # fails only on a complex addition tensor or unit passed in from outside.
         out.append(_entry(
             "red-black.addition_real",
             max(cplx.max_abs(m.imag), cplx.max_abs(u.imag)),
@@ -427,7 +421,7 @@ def verify_auxiliary_identities(t: StructureTensors, controlled: ControlledHadam
     and the projector/copy-spider exchange."""
     if not is_controlled_hadamard(controlled, tol=max(tol, 1e-9)):
         raise NotControlledHadamard("family member fails the Hadamard conditions")
-    mr, my, mb = t.red_mult, t.yellow_mult, t.black_mult
+    mb = t.black_mult
     d = t.d
     out = []
 
@@ -443,20 +437,21 @@ def verify_auxiliary_identities(t: StructureTensors, controlled: ControlledHadam
         tol,
     ))
 
+    # Both sides of each reassociation are table compositions on the
+    # (w, x, y, z) grid; -1 (undefined) compares equal to -1, exactly as two
+    # all-zero columns of the einsum do.
+    add, mul = _table(t.red_mult, "red_mult"), _table(t.yellow_mult, "yellow_mult")
+    w, x, y, z = np.ogrid[:d, :d, :d, :d]
     out.append(_entry(
         "sum_reassociation",
-        _blockwise_diff(
-            ("oab,awg,bxz,gyz->owxyz", mr, mr, my, my),
-            ("oab,awg,byz,gxz->owxyz", mr, mr, my, my),
-        ),
+        float(np.any(add[add[w, mul[y, z]], mul[x, z]] != add[add[w, mul[x, z]], mul[y, z]])),
         tol,
     ))
     out.append(_entry(
         "product_reassociation",
-        _blockwise_diff(
-            ("obd,bwy,dxa,awg,gyz->owxyz", mr, my, my, mr, my),
-            ("obd,bwx,day,awg,gxz->owxyz", mr, my, my, mr, my),
-        ),
+        float(np.any(
+            add[mul[w, y], mul[x, add[w, mul[y, z]]]] != add[mul[w, x], mul[add[w, mul[x, z]], y]]
+        )),
         tol,
     ))
 

@@ -90,7 +90,7 @@ def matrix_to_json(m) -> list:
 def matrix_from_json(rows) -> np.ndarray:
     try:
         arr = np.asarray(
-            [[complex(z[0], z[1]) for z in row] for row in rows], dtype=np.complex128
+            [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise ManifestError(f"malformed matrix payload: {exc}") from exc
@@ -193,10 +193,10 @@ def _matrix(obj, where: str, d: int) -> np.ndarray:
 
 def field_from_manifest(obj: dict) -> FiniteField:
     _expect(obj, "field")
-    try:
-        return new_field(int(obj["p"]), int(obj["n"]), list(obj["poly"]))
-    except KeyError as exc:
-        raise ManifestError(f"field manifest missing {exc}") from exc
+    poly = _field(obj, "poly", "field manifest")
+    if not isinstance(poly, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in poly):
+        raise ManifestError(f"field manifest field 'poly' must be a list of integers, got {poly!r}")
+    return new_field(_count(obj, "p"), _count(obj, "n"), poly)
 
 
 def hadamard_from_manifest(obj: dict) -> Hadamard:

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,25 @@ def test_full_suite_tolerance(p, n):
     assert max(r["residual"] for r in report) < 1e-10
 
 
+def test_structure_tensors_are_real():
+    """Every tensor except the character tables is float64, which is why
+    red-black.addition_real holds on the tensors this module builds."""
+    t = build_structure_tensors(new_field(2, 2))
+    for field in dataclasses.fields(t):
+        value = getattr(t, field.name)
+        if field.name not in ("d", "chi", "psi"):
+            assert value.dtype == np.float64, field.name
+
+
+def test_addition_real_fails_on_a_complex_addition_tensor():
+    t = build_structure_tensors(new_field(3, 1))
+    red = t.red_mult.astype(complex)
+    red[1, 0, 1] += 0.25j
+    report = verify_bialgebra_and_complementarity(dataclasses.replace(t, red_mult=red), "red-black")
+    entry = {r["equation"]: r for r in report}["red-black.addition_real"]
+    assert entry["residual"] == 0.25 and not entry["pass"]
+
+
 def test_ring_negative_control_localizes_failure():
     """Modular multiplication with composite modulus: the multiplicative
     laws break, everything about addition and the copy spiders stays green."""
@@ -199,8 +221,8 @@ def test_ring_prime_modulus_passes_everything():
 
 # -- one-shot oracles --------------------------------------------------------
 #
-# The suite contracts the cancellation law pairwise and the five-index laws
-# one block of their first output index at a time. These are the one-shot
+# The suite contracts the cancellation law pairwise and evaluates the
+# five-index laws on the dots' function tables. These are the one-shot
 # einsums it replaced; each must give exactly the same residual.
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -277,49 +299,102 @@ def test_staged_laws_match_oneshot_oracle(p, n):
     assert np.array_equal(axioms._cancellation(t), oneshot_cancellation(t))
 
 
-@pytest.mark.parametrize("d", [4, 6])
+# Z_d spider-fusion residual of the group tensor: the largest count of the
+# right tree where the left one is 0 or 1.
+RING_FUSION = {4: 2.0, 6: 2.0, 9: 3.0, 12: 6.0}
+
+
+@pytest.mark.parametrize("d", RING_FUSION)
 def test_ring_controls_match_oneshot_oracle(d):
     t = ring_structure_tensors(d)
     expected = oneshot_residuals(t)
-    assert expected["yellow_green.spider_fusion"] > 0
+    assert expected["yellow_green.spider_fusion"] == RING_FUSION[d]
     assert expected["yellow-black.cancellation"] > 0
     assert_matches_oneshot(t)
 
 
-@pytest.mark.parametrize("dtype,n", [(np.complex128, 17), (np.float64, 20)])
-def test_blocked_contraction_covers_every_block(monkeypatch, dtype, n):
-    """A slice of n^4 entries is over 1 MB, so the first output index is
-    split into several blocks sized from the operands' itemsize, the last
-    one short. A difference planted only in that last block must still be
-    reported, and at the one-shot value."""
-    rng = np.random.default_rng(7)
-    ops = [rng.integers(0, 3, (n, n, n)).astype(dtype) for _ in range(4)]
-    spec = "oab,awg,bxz,gyz->owxyz"
-    step = -(-axioms._MIN_BLOCK_BYTES // (np.dtype(dtype).itemsize * n**4))
-    assert n // step >= 2 and n % step != 0
-    planted = ops[0].copy()
-    planted[n - 1, 2, 5] += 2.0
-    expected = _max_diff(_oneshot(spec, *ops), _oneshot(spec, planted, *ops[1:]))
-    assert expected > 0
+def test_noncommutative_addition_matches_oneshot_oracle():
+    """Addition (2a + 3b) mod 5 is neither associative nor commutative, so
+    the red spider fusion and both reassociations fail, each at the one-shot
+    value 1.0; both legs of every table lookup are exercised in order."""
+    idx = np.arange(5)
+    mul = (idx[:, None] * idx[None, :]) % 5
+    roots = np.array([cplx.unit_root(k, 5) for k in range(5)])
+    t = axioms._structure_tensors((2 * idx[:, None] + 3 * idx[None, :]) % 5, mul, roots[mul], None)
+    expected = oneshot_residuals(t)
+    for law in ("red.spider_fusion", "sum_reassociation", "product_reassociation"):
+        assert expected[law] == 1.0, law
+    assert_matches_oneshot(t)
 
-    starts = []
-    block = axioms._block
 
-    def recording_block(contraction, start, step):
-        starts.append((start, step))
-        return block(contraction, start, step)
+def _tensor(table):
+    """0/1 tensor of a partial table, -1 meaning undefined."""
+    table = np.asarray(table)
+    return (np.arange(len(table))[:, None, None] == table).astype(float)
 
-    monkeypatch.setattr(axioms, "_block", recording_block)
-    assert axioms._blockwise_diff((spec, *ops), (spec, planted, *ops[1:])) == expected
-    assert starts == [(k, step) for k in range(0, n, step) for _ in range(2)]
+
+BINARY_TABLES = [np.reshape(v, (2, 2)) for v in itertools.product((-1, 0, 1), repeat=4)]
+
+
+@pytest.mark.parametrize("which", ["red", "yellow_green"])
+def test_spider_fusion_matches_oneshot_on_every_binary_table(which):
+    """Every partial operation on two elements, commutative or not, through
+    a dot of the GF(2^2) tensors: the table path gives the one-shot value."""
+    t = build_structure_tensors(new_field(2, 2))
+    name = axioms._ALGEBRAS[which][0]
+    for table in BINARY_TABLES:
+        m = _tensor(table)
+        if which == "yellow_green":  # padded with a third element no product reaches
+            m = np.pad(m, ((0, 1), (0, 1), (0, 1)))
+        assert axioms._spider_fusion(m, name) == oneshot_spider_fusion(m), table
+
+
+def test_reassociations_match_oneshot_on_every_binary_table_pair():
+    """Both reassociations for every pair of total operations on two
+    elements, so that each leg of each lookup is exercised in order."""
+    t = build_structure_tensors(new_field(2, 1))
+    controlled = controlled_from_copies(t.chi, 2)
+    totals = [tab for tab in BINARY_TABLES if (tab >= 0).all()]
+    laws = ("sum_reassociation", "product_reassociation")
+    for add, mul in itertools.product(totals, totals):
+        planted = dataclasses.replace(t, red_mult=_tensor(add), yellow_mult=_tensor(mul))
+        got = {r["equation"]: r["residual"] for r in verify_auxiliary_identities(planted, controlled)}
+        expected = oneshot_residuals(planted)
+        assert [got[law] for law in laws] == [expected[law] for law in laws], (add, mul)
+
+
+def test_table_reads_the_operation_tables():
+    """A field's sum and product tables, and the Z_4 group tensor's table
+    with -1 where a product of nonzero elements is 0; the padding row and
+    column read as undefined."""
+    f = new_field(3, 2)
+    t = build_structure_tensors(f)
+    add = axioms._table(t.red_mult, "red_mult")
+    assert np.array_equal(add[:9, :9], f.add_table)
+    assert (add[9] == -1).all() and (add[:, 9] == -1).all()
+    assert np.array_equal(axioms._table(t.yellow_mult, "yellow_mult")[:9, :9], f.mul_table)
+    group = axioms._table(ring_structure_tensors(4).mul_group_mult, "mul_group_mult")
+    # nonzero labels k stand for ring elements k + 1: 2 * 2 = 0 is undefined
+    assert np.array_equal(group[:3, :3], [[0, 1, 2], [1, -1, 1], [2, 1, 0]])
+
+
+@pytest.mark.parametrize("fault", ["half", "two_ones"])
+def test_table_refuses_a_tensor_that_is_not_a_function(fault):
+    m = build_structure_tensors(new_field(3, 1)).red_mult.copy()
+    if fault == "half":
+        m[1, 0, 1] = 0.5
+    else:
+        m[2, 0, 1] = 1.0  # column (0, 1) already holds a 1 at c = 1
+    with pytest.raises(ValueError, match="red_mult is not the 0/1 tensor of a partial function"):
+        axioms._table(m, "red_mult")
 
 
 def test_ring_control_large_composite_matches_oneshot():
-    """Z_18: the green dots have n = 17, so spider fusion runs in several
-    blocks, and its residual is nonzero."""
+    """Z_18: the group tensor's spider fusion counts up to 8 where its
+    left tree is 0 or 1."""
     t = ring_structure_tensors(18)
     expected = oneshot_spider_fusion(t.mul_group_mult)
-    assert expected > 0
+    assert expected == 8.0
     got = {r["equation"]: r["residual"] for r in verify_frobenius(t, "yellow_green")}
     assert got["yellow_green.spider_fusion"] == expected
 

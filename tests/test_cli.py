@@ -163,6 +163,13 @@ MALFORMED = {
         {"kind": "mub", "dimension": 1,
          "bases": [{"label": "*", "matrix": [[[1.0, 0.0]] * 2]}, {"label": "0", "matrix": ONE}]},
         2, "bases[0] field 'matrix' has shape (1, 2), expected (1, 1)"),
+    "ueb-three-part-entry": (
+        {"kind": "ueb", "dimension": 1, "operators": [{"x": 0, "a": 0, "matrix": [[[1, 0, 7]]]}]},
+        2, "malformed matrix payload"),
+    "field-poly-not-a-list": ({"kind": "field", "p": 2, "n": 1, "poly": 5}, 2, "'poly'"),
+    "field-poly-nested": ({"kind": "field", "p": 2, "n": 2, "poly": [[1], 1, 1]}, 2, "'poly'"),
+    "field-n-null": ({"kind": "field", "p": 2, "n": None, "poly": [1, 1]}, 2, "'n'"),
+    "field-p-fraction": ({"kind": "field", "p": 2.7, "n": 2, "poly": [1, 1, 1]}, 2, "'p'"),
 }
 
 
