@@ -56,35 +56,21 @@ def cmd_construct(args) -> int:
     field = new_field(args.p, args.n, _parse_poly(args.poly))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit = args.emit
-    wanted = {"field", "ueb", "mub", "chi", "psi"} if emit == "all" else {emit}
+    wanted = {"field", "ueb", "mub", "chi", "psi"} if args.emit == "all" else {args.emit}
 
-    written = []
-    if "field" in wanted:
-        manifests.write_manifest(manifests.field_manifest(field), out / "field.json")
-        written.append("field.json")
-    ueb = None
-    if wanted & {"ueb", "mub"}:
-        ueb = ueb_from_field(field)
-    if "ueb" in wanted:
-        manifests.write_manifest(manifests.ueb_manifest(ueb, field), out / "ueb.json")
-        written.append("ueb.json")
-    if "mub" in wanted:
-        family = mub_from_ueb(ueb, args.tol, args.seed)
-        manifests.write_manifest(manifests.mub_manifest(family), out / "mub.json")
-        written.append("mub.json")
-    if "chi" in wanted:
-        manifests.write_manifest(
-            manifests.hadamard_manifest(additive_character_matrix(field)), out / "chi.json"
-        )
-        written.append("chi.json")
-    if "psi" in wanted:
-        manifests.write_manifest(
-            manifests.hadamard_manifest(multiplicative_character_matrix(field)), out / "psi.json"
-        )
-        written.append("psi.json")
-    for name in written:
-        print(out / name)
+    ueb = ueb_from_field(field) if wanted & {"ueb", "mub"} else None
+    build = {
+        "field": lambda: manifests.field_manifest(field),
+        "ueb": lambda: manifests.ueb_manifest(ueb, field),
+        "mub": lambda: manifests.mub_manifest(mub_from_ueb(ueb, args.tol, args.seed)),
+        "chi": lambda: manifests.hadamard_manifest(additive_character_matrix(field)),
+        "psi": lambda: manifests.hadamard_manifest(multiplicative_character_matrix(field)),
+    }
+    names = [name for name in build if name in wanted]
+    for name in names:
+        manifests.write_manifest(build[name](), out / f"{name}.json")
+    for name in names:
+        print(out / f"{name}.json")
     return 0
 
 
@@ -176,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="validate a manifest and print residuals")
     p.add_argument("path")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("theta", help="extract the MUB family of a partitioned UEB")
@@ -190,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hadamards")
     p.add_argument("g")
     p.add_argument("--out", type=str, required=True)
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("axioms", help="run the full tensor-equation report for a field")

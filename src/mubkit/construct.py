@@ -144,14 +144,13 @@ def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> np.n
     return table
 
 
-def _column_conditions(m: np.ndarray, ones_col: bool, zero_sum_from: int, tol: float) -> bool:
+def _column_conditions(m: np.ndarray, tol: float) -> bool:
     """Relaxed Hadamard conditions consumed by the UEB proof: first column
-    all ones (when requested) and vanishing column sums from a given column."""
+    all ones and vanishing sums of every other column."""
     d = m.shape[0]
-    if ones_col and cplx.max_abs(m[:, 0] - 1.0) >= tol:
+    if cplx.max_abs(m[:, 0] - 1.0) >= tol:
         return False
-    sums = np.abs(m.sum(axis=0))
-    return bool(np.all(sums[zero_sum_from:] < d * tol))
+    return bool(np.all(np.abs(m[:, 1:].sum(axis=0)) < d * tol))
 
 
 def ueb_from_mub(family: MubFamily, controlled: ControlledHadamard, g,
@@ -189,11 +188,11 @@ def ueb_from_mub(family: MubFamily, controlled: ControlledHadamard, g,
     )
     if not fully_dephased:
         for x in range(d):
-            if not _column_conditions(controlled.member(x), True, 1, tol):
+            if not _column_conditions(controlled.member(x), tol):
                 raise PreconditionFailed(
                     f"H^{x}: neither dephased nor satisfying the column conditions"
                 )
-        if not _column_conditions(g, True, 1, tol):
+        if not _column_conditions(g, tol):
             raise PreconditionFailed("G: neither dephased nor satisfying the column conditions")
         warnings.warn(
             "Hadamard data passes the relaxed column conditions but is not dephased",

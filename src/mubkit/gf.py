@@ -128,8 +128,8 @@ def is_irreducible(modulus: list[int], p: int) -> bool:
     """Whether a monic polynomial (low-degree-first coefficients) is
     irreducible over F_p.
 
-    Degree <= 4 is settled by trial division against every monic polynomial
-    of degree up to n/2; higher degrees use the Rabin test.
+    Rabin's test: f of degree n is irreducible iff x^(p^n) = x mod f and
+    gcd(x^(p^(n/q)) - x, f) = 1 for every prime q dividing n.
     """
     coeffs = [c % p for c in modulus]
     n = len(coeffs) - 1
@@ -137,17 +137,8 @@ def is_irreducible(modulus: list[int], p: int) -> bool:
         return False
     if n == 1:
         return True
-    if coeffs[0] == 0:  # divisible by x
+    if coeffs[0] == 0:  # divisible by x; skips half the candidates of default_modulus
         return False
-    if n <= 4:
-        for deg in range(1, n // 2 + 1):
-            for idx in range(p**deg):
-                low = _index_to_poly(idx, p)
-                trial = low + [0] * (deg - len(low)) + [1]
-                if not _poly_mod(coeffs, trial, p):
-                    return False
-        return True
-    # Rabin: x^(p^n) == x mod f, and gcd(x^(p^(n/q)) - x, f) = 1 for q | n
     x = [0, 1]
 
     def frobenius_minus_x(e: int) -> list[int]:
@@ -191,13 +182,15 @@ class FiniteField:
     """
 
     def __init__(self, p: int, n: int, modulus: list[int] | None = None):
-        if not is_prime(p):
-            raise NonPrime(f"p = {p} is not prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
+        # size first, so a huge p or n is refused before is_prime or a huge
+        # p**n runs; for p >= 2, n > 16 alone exceeds the limit
+        if p >= 2 and (n > 16 or p**n > MAX_ORDER):
+            raise TooLarge(f"field order {p}^{n} exceeds {MAX_ORDER}")
+        if not is_prime(p):
+            raise NonPrime(f"p = {p} is not prime")
         d = p**n
-        if d > MAX_ORDER:
-            raise TooLarge(f"field order {d} exceeds {MAX_ORDER}")
         if modulus is None:
             modulus = default_modulus(p, n)
         else:

@@ -1,14 +1,15 @@
 """Stable JSON serialization for every object the CLI moves around.
 
-Complex values are two-element arrays [re, im]; matrices nest row-major.
-Serialization is deterministic: explicit key order, floats printed with 17
-significant digits, newline-terminated output, so repeated runs produce
-byte-identical files.
+Complex values are two-element arrays [re, im]; matrices nest row-major and
+stay numpy arrays until they become text. Serialization is deterministic:
+explicit key order, floats printed with 17 significant digits,
+newline-terminated output, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -51,29 +52,36 @@ def _dump(value, out: list) -> None:
         out.append(format(float(value), ".17g"))
     elif isinstance(value, str):
         out.append(json.dumps(value))
+    elif isinstance(value, np.ndarray):
+        out.append(_matrix_text(value))
     elif value is None:
         out.append("null")
     else:
         raise ManifestError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(obj: dict) -> str:
+def _pieces(obj: dict) -> list:
     out: list = []
     _dump(obj, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps(obj: dict) -> str:
+    return "".join(_pieces(obj))
 
 
 def write_manifest(obj: dict, path) -> None:
+    """Write ``dumps(obj)`` piece by piece, never joined into one string."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.writelines(_pieces(obj))
 
 
 def load_manifest(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ManifestError(f"manifest {path} has no 'kind' field")
@@ -82,31 +90,41 @@ def load_manifest(path) -> dict:
 
 # -- matrix <-> json ---------------------------------------------------------
 
-def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def _matrix_text(m: np.ndarray) -> str:
+    """A complex matrix as nested rows of [re, im] pairs. Each distinct float
+    is formatted once; floats are told apart by bit pattern, not by value,
+    so -0.0 keeps its sign."""
+    floats = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    bits, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+    rows = text[inverse.reshape(floats.shape)].tolist()
+    return "[" + ",".join(
+        "[[" + "],[".join(map(",".join, zip(row[::2], row[1::2]))) + "]]" for row in rows
+    ) + "]"
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """The complex matrix of a payload of [re, im] rows; the one check of a
+    matrix payload: finite int or float entries in rows of one length."""
     try:
-        arr = np.asarray(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
-        )
-    except (TypeError, IndexError, ValueError) as exc:
+        pairs = np.asarray(rows)
+    except ValueError as exc:  # ragged rows
         raise ManifestError(f"malformed matrix payload: {exc}") from exc
-    if arr.ndim != 2:
-        raise ManifestError("matrix payload is not two-dimensional")
-    return arr
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2
+            or not np.isfinite(pairs).all()):
+        raise ManifestError("malformed matrix payload: entries must be finite numbers in rows of "
+                            f"[re, im] pairs, got a {pairs.dtype} array of shape {pairs.shape}")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 # -- builders ----------------------------------------------------------------
 
 def field_manifest(f: FiniteField) -> dict:
-    return {"kind": "field", "dimension": f.d, "p": f.p, "n": f.n, "poly": list(f.modulus)}
+    return {"kind": "field", "dimension": f.d, **f.descriptor()}
 
 
 def hadamard_manifest(h: Hadamard) -> dict:
-    return {"kind": "hadamard", "dimension": h.d, "matrix": matrix_to_json(h.matrix)}
+    return {"kind": "hadamard", "dimension": h.d, "matrix": h.matrix}
 
 
 def controlled_hadamard_manifest(ch: ControlledHadamard) -> dict:
@@ -114,7 +132,7 @@ def controlled_hadamard_manifest(ch: ControlledHadamard) -> dict:
         "kind": "controlled_hadamard",
         "control_dim": ch.control_dim,
         "dimension": ch.d,
-        "members": [matrix_to_json(m.matrix) for m in ch.members],
+        "members": [m.matrix for m in ch.members],
     }
 
 
@@ -123,7 +141,7 @@ def mub_manifest(family: MubFamily) -> dict:
         "kind": "mub",
         "dimension": family.d,
         "bases": [
-            {"label": label, "matrix": matrix_to_json(basis)}
+            {"label": label, "matrix": basis}
             for label, basis in zip(family.labels, family.bases)
         ],
     }
@@ -132,9 +150,9 @@ def mub_manifest(family: MubFamily) -> dict:
 def ueb_manifest(ueb: PartitionedUeb, field: FiniteField | None = None) -> dict:
     obj = {"kind": "ueb", "dimension": ueb.d}
     if field is not None:
-        obj["field"] = {"p": field.p, "n": field.n, "poly": list(field.modulus)}
+        obj["field"] = field.descriptor()
     obj["operators"] = [
-        {"x": x, "a": a, "matrix": matrix_to_json(ueb.op(x, a))}
+        {"x": x, "a": a, "matrix": ueb.op(x, a)}
         for x in range(ueb.d)
         for a in range(ueb.d)
     ]
@@ -219,14 +237,11 @@ def mub_from_manifest(obj: dict) -> MubFamily:
     _expect(obj, "mub")
     d = _count(obj, "dimension")
     entries = _entries(obj, "bases", d + 1)
-    by_label = {
-        _field(e, "label", f"bases[{k}]"): _matrix(e, f"bases[{k}]", d)
-        for k, e in enumerate(entries)
-    }
+    labels = [_field(e, "label", f"bases[{k}]") for k, e in enumerate(entries)]
     want = ["*"] + [str(x) for x in range(d)]
-    if sorted(by_label) != sorted(want):
+    if sorted(labels, key=repr) != sorted(want, key=repr):  # repr sorts any JSON value
         raise ManifestError(f"mub manifest must carry labels {want}")
-    return MubFamily(d, [by_label[label] for label in want])
+    return MubFamily(d, [_matrix(entries[k], f"bases[{k}]", d) for k in map(labels.index, want)])
 
 
 def ueb_from_manifest(obj: dict) -> PartitionedUeb:
@@ -258,7 +273,8 @@ def report_from_manifest(obj: dict, tol: float) -> list:
     for k, r in enumerate(results):
         equation = _field(r, "equation", f"results[{k}]")
         residual = _field(r, "residual", f"results[{k}]")
-        if isinstance(residual, bool) or not isinstance(residual, (int, float)):
+        if isinstance(residual, bool) or not isinstance(residual, (int, float)) or (
+                isinstance(residual, int) and abs(residual) > sys.float_info.max):
             raise ManifestError(f"results[{k}].residual must be a number, got {residual!r}")
         out.append(cplx.residual_entry(str(equation), residual, tol))
     return out

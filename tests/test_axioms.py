@@ -438,3 +438,12 @@ def test_suite_refuses_oversized_field_before_building(monkeypatch):
         run_axiom_suite(new_field(2, 6))
     with pytest.raises(TooLarge, match="d = 67"):
         run_axiom_suite(new_field(67, 1))
+
+
+def test_assembly_mismatch_is_reported_not_raised(monkeypatch):
+    """A wrong assembled full-space multiplication fails the reported law
+    instead of stopping the tensor build."""
+    assemble = axioms._assemble_yellow
+    monkeypatch.setattr(axioms, "_assemble_yellow", lambda *args: 1.0 - assemble(*args))
+    report = run_axiom_suite(new_field(3, 1))
+    assert [r["equation"] for r in report if not r["pass"]] == ["full_multiplication_assembly"]

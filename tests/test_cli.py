@@ -51,6 +51,19 @@ def test_serialized_floats_are_full_precision(tmp_path):
     assert loaded.matrix[0, 0] == h.matrix[0, 0]
 
 
+def test_matrix_text_matches_per_entry_formatting():
+    """The array-to-text writer against the per-entry loop it replaced, on
+    a non-square matrix with repeated, signed-zero and subnormal floats."""
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((5, 3)).astype(complex)
+    m.imag = rng.choice([-0.0, 0.0, 0.1, 5e-324, -1e308, 1 / 3], (5, 3))
+    assert np.signbit(m.imag[m.imag == 0]).any() and not np.signbit(m.imag[m.imag == 0]).all()
+    loop = "[" + ",".join("[" + ",".join(
+        f"[{format(z.real, '.17g')},{format(z.imag, '.17g')}]" for z in row) + "]" for row in m) + "]"
+    assert manifests.dumps({"matrix": m}) == '{"matrix":' + loop + "}\n"
+    assert np.array_equal(manifests.matrix_from_json(json.loads(loop)), m)
+
+
 def test_construct_emits_five_files(tmp_path, capsys):
     assert run(["construct", "--p", 2, "--n", 2, "--emit", "all", "--out", tmp_path]) == 0
     for name in ("field.json", "ueb.json", "mub.json", "chi.json", "psi.json"):
@@ -61,15 +74,43 @@ def test_construct_emits_five_files(tmp_path, capsys):
     assert np.array_equal(ueb.op(1, 0).real, corrected(1, 0).astype(float))
 
 
-@pytest.mark.parametrize("p,n,digest", [
-    (2, 2, "d5ef5e22dfc79c7c25c3ae4a6a5757df5c492db7e735adc5c4c9746a3cb97418"),
-    (3, 2, "dbae7c5a5a78b9be3f6915e338cdb352827780f2e718fd89f1d6533f5642974a"),
-])
-def test_construct_ueb_bytes_are_pinned(tmp_path, p, n, digest):
-    """The operator table as one array writes the same bytes as the nested
-    list of matrices it replaced."""
-    assert run(["construct", "--p", p, "--n", n, "--emit", "ueb", "--out", tmp_path]) == 0
-    assert hashlib.sha256((tmp_path / "ueb.json").read_bytes()).hexdigest() == digest
+def _construct(p, n, emit):
+    def write(tmp_path):
+        assert run(["construct", "--p", p, "--n", n, "--emit", emit, "--out", tmp_path]) == 0
+        return tmp_path / f"{emit}.json"
+    return write
+
+
+def _random_hadamard(tmp_path):
+    """A 4x4 matrix whose floats are all distinct; no BLAS call goes into
+    making it, so its bytes do not depend on the machine."""
+    rng = np.random.default_rng(0)
+    h = Hadamard(4, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    manifests.write_manifest(manifests.hadamard_manifest(h), tmp_path / "h.json")
+    return tmp_path / "h.json"
+
+
+PINNED = {
+    "ueb-gf4": (_construct(2, 2, "ueb"),
+                "d5ef5e22dfc79c7c25c3ae4a6a5757df5c492db7e735adc5c4c9746a3cb97418"),
+    "ueb-gf9": (_construct(3, 2, "ueb"),
+                "dbae7c5a5a78b9be3f6915e338cdb352827780f2e718fd89f1d6533f5642974a"),
+    # psi of GF(5) holds the entry [-0, -1]: a writer that told floats apart
+    # by value instead of bit pattern would write -0 and 0 alike
+    "psi-gf5": (_construct(5, 1, "psi"),
+                "d6f6c0c6cb92e2320dfc4af138cbb86a4462b158d02f7adf1e57a4cd1116ad31"),
+    "psi-gf13": (_construct(13, 1, "psi"),
+                 "730324c4d1ddfb9752e6a9fabf883ff67e0ef415a50b0415a61251d0b3080353"),
+    "random-4x4": (_random_hadamard,
+                   "b956a7e2bb28bc72c0c7b7d419db7f0fedcf45d004fed495959e340a798cf339"),
+}
+
+
+@pytest.mark.parametrize("write,digest", PINNED.values(), ids=PINNED.keys())
+def test_construct_ueb_bytes_are_pinned(tmp_path, write, digest):
+    """The array-to-text writer writes the same bytes as the nested lists of
+    Python floats it replaced."""
+    assert hashlib.sha256(write(tmp_path).read_bytes()).hexdigest() == digest
 
 
 def test_construct_deterministic(tmp_path):
@@ -116,6 +157,7 @@ def test_verify_truncated_json(tmp_path):
 
 
 ONE = [[[1.0, 0.0]]]
+PAYLOAD = "malformed matrix payload: entries must be finite numbers"
 
 
 MALFORMED = {
@@ -170,6 +212,31 @@ MALFORMED = {
     "field-poly-nested": ({"kind": "field", "p": 2, "n": 2, "poly": [[1], 1, 1]}, 2, "'poly'"),
     "field-n-null": ({"kind": "field", "p": 2, "n": None, "poly": [1, 1]}, 2, "'n'"),
     "field-p-fraction": ({"kind": "field", "p": 2.7, "n": 2, "poly": [1, 1, 1]}, 2, "'p'"),
+    "report-huge-residual": (
+        {"kind": "report", "results": [{"equation": "e", "residual": 10**400}]}, 2,
+        "results[0].residual"),
+    "mub-list-label": (
+        {"kind": "mub", "dimension": 1,
+         "bases": [{"label": ["*"], "matrix": ONE}, {"label": "0", "matrix": ONE}]},
+        2, "must carry labels"),
+    # a matrix payload holds finite numbers only
+    "hadamard-huge-int-entry": (
+        {"kind": "hadamard", "dimension": 1, "matrix": [[[10**400, 0]]]}, 2, PAYLOAD),
+    "mub-text-entry": (
+        {"kind": "mub", "dimension": 1,
+         "bases": [{"label": "*", "matrix": [[["1", 0]]]}, {"label": "0", "matrix": ONE}]},
+        2, PAYLOAD),
+    "ueb-bool-entries": (
+        {"kind": "ueb", "dimension": 1, "operators": [{"x": 0, "a": 0, "matrix": [[[True, False]]]}]},
+        2, PAYLOAD),
+    "controlled-null-entry": (
+        {"kind": "controlled_hadamard", "control_dim": 1, "members": [[[[None, 0]]]]}, 2, PAYLOAD),
+    # 1e400 reads back as inf
+    "hadamard-overflowing-entry": (
+        '{"kind": "hadamard", "dimension": 1, "matrix": [[[1e400, 0]]]}', 2, PAYLOAD),
+    "nested-too-deep": (
+        '{"kind": "hadamard", "dimension": 1, "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}", 2,
+        "cannot read manifest"),
 }
 
 
@@ -178,7 +245,7 @@ def test_verify_malformed_manifest(tmp_path, capsys, manifest, code, needle):
     """A malformed manifest exits 2 naming the field; it never ends in a
     traceback or a vacuous PASS."""
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
+    path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
     assert run(["verify", path]) == code
     captured = capsys.readouterr()
     assert needle in captured.out + captured.err
@@ -272,6 +339,26 @@ def test_axioms_refuses_oversized_field_before_allocating(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: TooLarge: ") and "Traceback" not in err
     assert "d = 128" in err and str(128**4 * 8) in err
+
+
+@pytest.mark.parametrize("p,n", [(2305843009213693951, 1), (3, 30000000)])
+def test_axioms_refuses_huge_field_parameters_at_once(capsys, p, n):
+    """The field order is checked before primality of a huge p and before
+    computing p**n for a huge n."""
+    start = time.perf_counter()
+    assert run(["axioms", "--p", p, "--n", n]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: TooLarge: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "phi"])
+def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys, command):
+    args = [tmp_path / "m.json"] if command == "verify" else [
+        tmp_path / "mub.json", tmp_path / "h.json", tmp_path / "g.json", "--out", tmp_path / "o.json"]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--seed", 1])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["construct", "verify", "theta", "phi", "axioms"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -185,19 +187,13 @@ def test_field_equality_and_descriptor():
 
 
 def test_rabin_branch_matches_trial_division():
-    # degree 5 polynomials take the Rabin path; cross-check against a
-    # direct trial-division search done here
-    p = 5
-    for idx_low in range(40):
-        coeffs = []
-        v = idx_low
-        for _ in range(5):
-            coeffs.append(v % p)
-            v //= p
-        poly = coeffs + [1]
-        by_rabin = is_irreducible(poly, p)
-        by_division = _irreducible_by_division(poly, p)
-        assert by_rabin == by_division
+    # every monic polynomial of degree 2 to 5 over F_2, F_3 and F_5 takes the
+    # Rabin test; cross-check against a direct trial-division search done here
+    for p in (2, 3, 5):
+        for n in range(2, 6):
+            for low in itertools.product(range(p), repeat=n):
+                poly = list(low) + [1]
+                assert is_irreducible(poly, p) == _irreducible_by_division(poly, p), (poly, p)
 
 
 def _irreducible_by_division(poly, p):
