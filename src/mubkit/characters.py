@@ -10,7 +10,7 @@ through discrete logs of the deterministic primitive element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +36,28 @@ class Hadamard:
 
 @dataclass
 class ControlledHadamard:
-    """Family of order-d Hadamards indexed by control basis states."""
+    """Family of order-d Hadamards indexed by control basis states, stored
+    as one (control_dim, d, d) array. ``members`` may also be given as a
+    list of matrices or :class:`Hadamard` objects."""
 
     control_dim: int
-    members: list = field(default_factory=list)
+    members: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.members, (list, tuple)):
+            self.members = [m.matrix if isinstance(m, Hadamard) else m for m in self.members]
+        self.members = cplx.as_matrix(self.members, 3)
         if len(self.members) != self.control_dim:
             raise ShapeMismatch(
                 f"expected {self.control_dim} members, got {len(self.members)}"
             )
-        self.members = [m if isinstance(m, Hadamard) else Hadamard(np.asarray(m).shape[0], m)
-                        for m in self.members]
-        dims = {m.d for m in self.members}
-        if len(dims) > 1:
-            raise ShapeMismatch(f"members have mixed orders {sorted(dims)}")
 
     @property
     def d(self) -> int:
-        return self.members[0].d
+        return self.members.shape[-1]
 
     def member(self, x: int) -> np.ndarray:
-        return self.members[x].matrix
+        return self.members[x]
 
 
 def additive_character_matrix(f: FiniteField) -> Hadamard:
@@ -86,17 +86,21 @@ def multiplicative_character_matrix(f: FiniteField) -> Hadamard:
 
 
 def _matrix_of(h) -> np.ndarray:
-    return h.matrix if isinstance(h, Hadamard) else cplx.as_matrix(h)
+    """A Hadamard's matrix, or a matrix or a (k, d, d) array through the one
+    input check."""
+    if isinstance(h, Hadamard):
+        return h.matrix
+    return cplx.as_matrix(h, 3 if getattr(h, "ndim", 2) == 3 else 2)
 
 
 def hadamard_residuals(a, tol: float = cplx.DEFAULT_TOL) -> list:
     """Residuals of both Hadamard conditions: unit-modulus entries, and
-    H H† = H† H = d I (the worse of the two products)."""
+    H H† = H† H = d I (the worse of the two products). On a (k, d, d) stack
+    each residual is that of the worst member."""
     m = _matrix_of(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"Hadamard test requires a square matrix, got {m.shape}")
-    eye = m.shape[0] * np.eye(m.shape[0])
-    gram = max(cplx.max_abs(m @ m.conj().T - eye), cplx.max_abs(m.conj().T @ m - eye))
+    eye = m.shape[-1] * np.eye(m.shape[-1])
+    gram = max(cplx.max_abs(m @ m.conj().swapaxes(-1, -2) - eye),
+               cplx.max_abs(m.conj().swapaxes(-1, -2) @ m - eye))
     return [
         cplx.residual_entry("hadamard_unit_modulus", cplx.max_abs(np.abs(m) - 1.0), tol),
         cplx.residual_entry("hadamard_gram", gram, tol),
@@ -109,13 +113,14 @@ def is_hadamard(a, tol: float = cplx.DEFAULT_TOL) -> bool:
 
 
 def is_dephased(a, tol: float = cplx.DEFAULT_TOL) -> bool:
-    """Hadamard whose first row and first column are all ones."""
+    """Hadamard whose first row and first column are all ones; a (k, d, d)
+    stack is dephased when every member is."""
     m = _matrix_of(a)
     if not is_hadamard(m, tol):
         return False
     return (
-        cplx.max_abs(m[0, :] - 1.0) < tol
-        and cplx.max_abs(m[:, 0] - 1.0) < tol
+        cplx.max_abs(m[..., 0, :] - 1.0) < tol
+        and cplx.max_abs(m[..., :, 0] - 1.0) < tol
     )
 
 
@@ -123,12 +128,7 @@ def controlled_hadamard_residuals(h: ControlledHadamard, tol: float = cplx.DEFAU
     """The worst Hadamard residual over the indexed members (the family
     condition reduces to every member being a Hadamard because control
     basis states span the control space)."""
-    d = h.d
-    worst = 0.0
-    for member in h.members:
-        if member.matrix.shape != (d, d):
-            raise ShapeMismatch("controlled family members have mixed shapes")
-        worst = max(worst, *(r["residual"] for r in hadamard_residuals(member.matrix, tol)))
+    worst = max(r["residual"] for r in hadamard_residuals(h.members, tol))
     return [cplx.residual_entry("controlled_hadamard", worst, tol)]
 
 
@@ -139,15 +139,14 @@ def is_controlled_hadamard(h: ControlledHadamard, tol: float = cplx.DEFAULT_TOL)
 
 def controlled_from_copies(h, control_dim: int) -> ControlledHadamard:
     """Controlled family whose members are all the same Hadamard."""
-    m = _matrix_of(h)
-    return ControlledHadamard(control_dim, [Hadamard(m.shape[0], m.copy()) for _ in range(control_dim)])
+    return ControlledHadamard(control_dim, np.repeat(_matrix_of(h)[None], control_dim, axis=0))
 
 
-def mub_from_controlled_hadamard(h: ControlledHadamard, tol: float = cplx.DEFAULT_TOL) -> list:
-    """One orthonormal basis per member: basis x has states
-    (1/sqrt(d)) * (column j of member x), each unbiased to the computational
-    basis since all scaled entries have modulus 1/sqrt(d)."""
+def mub_from_controlled_hadamard(h: ControlledHadamard, tol: float = cplx.DEFAULT_TOL) -> np.ndarray:
+    """One orthonormal basis per member, as a (control_dim, d, d) stack:
+    basis x has states (1/sqrt(d)) * (column j of member x), each unbiased
+    to the computational basis since all scaled entries have modulus
+    1/sqrt(d)."""
     if not is_controlled_hadamard(h, tol):
         raise NotControlledHadamard("family member fails the Hadamard conditions")
-    d = h.d
-    return [h.member(x) / np.sqrt(d) for x in range(h.control_dim)]
+    return h.members / np.sqrt(h.d)

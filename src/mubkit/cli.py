@@ -43,17 +43,16 @@ def _tolerance(text):
     return tol
 
 
-def _parse_poly(text):
-    if text is None:
-        return None
+def _poly(text):
+    """``--poly``: comma-separated integer coefficients, low degree first."""
     try:
         return [int(c) for c in text.split(",")]
-    except ValueError as exc:
-        raise ManifestError(f"cannot parse polynomial {text!r}: {exc}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_construct(args) -> int:
-    field = new_field(args.p, args.n, _parse_poly(args.poly))
+    field = new_field(args.p, args.n, args.poly)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     wanted = {"field", "ueb", "mub", "chi", "psi"} if args.emit == "all" else {args.emit}
@@ -129,7 +128,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    field = new_field(args.p, args.n, _parse_poly(args.poly))
+    field = new_field(args.p, args.n, args.poly)
     report = axioms.run_axiom_suite(field, args.tol)
     failed = _print_report(report)
     worst = max([0.0] + [r["residual"] for r in report])
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build field objects and write manifests")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--poly", type=str, default=None,
+    p.add_argument("--poly", type=_poly, default=None,
                    help="comma-separated modulus coefficients, low degree first")
     p.add_argument("--emit", choices=["all", "field", "ueb", "mub", "chi", "psi"], default="all")
     p.add_argument("--out", type=str, default=".")
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the full tensor-equation report for a field")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--poly", type=str, default=None)
+    p.add_argument("--poly", type=_poly, default=None)
     common(p, seed=False)
     p.set_defaults(func=cmd_axioms)
     return parser
@@ -193,10 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ManifestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_OR_IO
-    except (OSError, ValueError) as exc:
+    except (ManifestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_OR_IO
     except MubkitError as exc:

@@ -24,6 +24,7 @@ from .characters import (
     ControlledHadamard,
     Hadamard,
     additive_character_matrix,
+    controlled_from_copies,
     is_controlled_hadamard,
     is_dephased,
     is_hadamard,
@@ -53,16 +54,9 @@ class PartitionedUeb:
     ops: np.ndarray
 
     def __post_init__(self):
-        want = (self.d,) * 4
-        try:
-            ops = np.ascontiguousarray(self.ops, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
-            raise ShapeMismatch(f"operator table is not a {want} array: {exc}") from exc
-        if ops.shape != want:
-            raise ShapeMismatch(f"operator table has shape {ops.shape}, expected {want}")
-        if not np.all(np.isfinite(ops)):
-            raise ShapeMismatch("operator table contains non-finite entries")
-        self.ops = ops
+        self.ops = np.ascontiguousarray(cplx.as_matrix(self.ops, 4))
+        if self.ops.shape != (self.d,) * 4:
+            raise ShapeMismatch(f"operator table has shape {self.ops.shape}, expected {(self.d,) * 4}")
 
     def op(self, x: int, a: int) -> np.ndarray:
         return self.ops[x, a]
@@ -116,28 +110,25 @@ def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> np.n
     """Shift-and-multiply operator table V_{i,j}|k> = H[i][k] |L[k][j]>.
 
     ``hadamards`` is a single Hadamard (used for every shift) or a family
-    indexed by the shift column j. Unitarity comes from the Latin-square
-    columns and unit-modulus phases; the trace law from Hadamard row
-    orthogonality. Returns the raw (d, d, d, d) table ``[i, j]`` (no
-    partition is implied).
+    indexed by the shift column j, given as a :class:`ControlledHadamard`
+    or a list. Unitarity comes from the Latin-square columns and
+    unit-modulus phases; the trace law from Hadamard row orthogonality.
+    Returns the raw (d, d, d, d) table ``[i, j]`` (no partition is implied).
     """
     s = np.asarray(square, dtype=np.int64)
     if not is_latin_square(s):
         raise NotLatinSquare("rows/columns are not permutations of 0..d-1")
     d = s.shape[0]
-    if isinstance(hadamards, ControlledHadamard):
-        members = [hadamards.member(j) for j in range(hadamards.control_dim)]
-    elif isinstance(hadamards, (list, tuple)):
-        members = [_matrix_of(h) for h in hadamards]
-    else:
-        members = [_matrix_of(hadamards)] * d
-    if len(members) != d:
-        raise ShapeMismatch(f"expected {d} Hadamards, got {len(members)}")
-    for h in members:
-        if h.shape != (d, d) or not is_hadamard(h, tol):
-            raise NotHadamard("shift-and-multiply phase matrix fails the Hadamard laws")
+    if isinstance(hadamards, (list, tuple)):
+        hadamards = ControlledHadamard(len(hadamards), hadamards)
+    elif not isinstance(hadamards, ControlledHadamard):
+        hadamards = controlled_from_copies(hadamards, d)
+    h = hadamards.members
+    if len(h) != d:
+        raise ShapeMismatch(f"expected {d} Hadamards, got {len(h)}")
+    if h.shape[1:] != (d, d) or not is_hadamard(h, tol):
+        raise NotHadamard("shift-and-multiply phase matrix fails the Hadamard laws")
 
-    h = np.stack(members)
     i, j, k = np.ix_(range(d), range(d), range(d))
     table = np.zeros((d, d, d, d), dtype=np.complex128)
     table[i, j, s[k, j], k] = h[j, i, k]
@@ -183,10 +174,7 @@ def ueb_from_mub(family: MubFamily, controlled: ControlledHadamard, g,
     if g.shape != (d, d) or not is_hadamard(g, tol):
         raise PreconditionFailed("G: is_hadamard failed")
 
-    fully_dephased = is_dephased(g, tol) and all(
-        is_dephased(controlled.member(x), tol) for x in range(d)
-    )
-    if not fully_dephased:
+    if not (is_dephased(g, tol) and is_dephased(controlled.members, tol)):
         for x in range(d):
             if not _column_conditions(controlled.member(x), tol):
                 raise PreconditionFailed(
@@ -224,13 +212,11 @@ def eigendata(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL, seed: int = 0)
         raise NotCanonicalForm("distinguished class is not diagonal")
     d = ueb.d
     g = np.diagonal(ueb.ops[:, 0], axis1=1, axis2=2).T.copy()
-    members = []
+    h = np.ones((d, d, d), dtype=np.complex128)
     for x in range(d):
         bx = family.basis(x)
-        hx = np.ones((d, d), dtype=np.complex128)
-        hx[:, 1:] = np.diagonal(bx.conj().T @ ueb.class_ops(x) @ bx, axis1=1, axis2=2).T
-        members.append(Hadamard(d, hx))
-    return family, ControlledHadamard(d, members), Hadamard(d, g)
+        h[x, :, 1:] = np.diagonal(bx.conj().T @ ueb.class_ops(x) @ bx, axis1=1, axis2=2).T
+    return family, ControlledHadamard(d, h), Hadamard(d, g)
 
 
 def conjugate_ueb(ueb: PartitionedUeb, w, tol: float = cplx.DEFAULT_TOL) -> PartitionedUeb:

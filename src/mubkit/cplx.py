@@ -1,6 +1,7 @@
 """Dense complex linear algebra for small matrices.
 
-Matrices are plain ``numpy`` arrays of complex128. The module supplies
+Matrices are plain ``numpy`` arrays of complex128, and every matrix or
+stack input passes the one check :func:`as_matrix`. The module supplies
 the three matrix laws as batched residuals over (k, d, d) stacks
 (unitarity, pairwise commutators, off-diagonal residue), which every law
 check calls; the residual entry every law check reports; a Hermitian
@@ -28,10 +29,18 @@ HERMITIAN_TOL = 1e-12
 SIMDIAG_RETRIES = 8
 
 
-def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {m.shape}")
+def as_matrix(a, ndim: int = 2) -> np.ndarray:
+    """``a`` as a non-empty complex128 array of ``ndim`` axes whose last two
+    are square and whose entries are finite: a matrix (2), a (k, d, d) stack
+    (3) or an operator table (4). The one check of matrix input; anything
+    else raises :class:`ShapeMismatch`."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+        raise ShapeMismatch(f"expected a numeric array of {ndim} axes: {exc}") from exc
+    if m.ndim != ndim or not m.size or m.shape[-1] != m.shape[-2]:
+        raise ShapeMismatch(
+            f"expected a non-empty array of {ndim} axes, the last two square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeMismatch("matrix contains non-finite entries")
     return m
@@ -83,10 +92,7 @@ def offdiag_residual(stack, w=None) -> float:
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"unitarity requires a square matrix, got {a.shape}")
-    return unitarity_residual(a[None]) < tol
+    return unitarity_residual(as_matrix(a)[None]) < tol
 
 
 @dataclass
@@ -104,8 +110,6 @@ def eig_hermitian(a, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
     Hermitian within ``tol``.
     """
     a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"eigendecomposition requires a square matrix, got {a.shape}")
     if max_abs(a - a.conj().T) > max(tol, 1e-12):
         raise NotHermitian(f"matrix deviates from Hermitian by {max_abs(a - a.conj().T):.3g}")
     values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
@@ -143,13 +147,7 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
     Columns are ordered by ascending eigenvalue of the combination and
     phase-normalized via :func:`phase_normalize`.
     """
-    try:
-        mats = np.asarray(family, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:  # ragged members or non-numeric entries
-        raise ShapeMismatch(f"family members must share one square shape: {exc}") from exc
-    if (mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]
-            or not np.all(np.isfinite(mats))):
-        raise ShapeMismatch(f"expected a non-empty stack of finite square matrices: {mats.shape}")
+    mats = as_matrix(family, 3)
     if unitarity_residual(mats) >= tol:
         raise NotUnitary("family member is not unitary within tolerance")
 

@@ -132,7 +132,7 @@ def controlled_hadamard_manifest(ch: ControlledHadamard) -> dict:
         "kind": "controlled_hadamard",
         "control_dim": ch.control_dim,
         "dimension": ch.d,
-        "members": [m.matrix for m in ch.members],
+        "members": list(ch.members),
     }
 
 
@@ -214,7 +214,10 @@ def field_from_manifest(obj: dict) -> FiniteField:
     poly = _field(obj, "poly", "field manifest")
     if not isinstance(poly, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in poly):
         raise ManifestError(f"field manifest field 'poly' must be a list of integers, got {poly!r}")
-    return new_field(_count(obj, "p"), _count(obj, "n"), poly)
+    f = new_field(_count(obj, "p"), _count(obj, "n"), poly)
+    if "dimension" in obj and _count(obj, "dimension") != f.d:
+        raise ManifestError(f"field manifest field 'dimension' must be p^n = {f.d}")
+    return f
 
 
 def hadamard_from_manifest(obj: dict) -> Hadamard:
@@ -230,7 +233,9 @@ def controlled_from_manifest(obj: dict) -> ControlledHadamard:
     for k, m in enumerate(members):
         if m.shape != (d, d):
             raise ManifestError(f"members[{k}] has shape {m.shape}, expected {(d, d)}")
-    return ControlledHadamard(len(members), [Hadamard(d, m) for m in members])
+    if "dimension" in obj and _count(obj, "dimension") != d:
+        raise ManifestError(f"controlled_hadamard manifest field 'dimension' must be {d}")
+    return ControlledHadamard(len(members), members)
 
 
 def mub_from_manifest(obj: dict) -> MubFamily:
@@ -247,14 +252,19 @@ def mub_from_manifest(obj: dict) -> MubFamily:
 def ueb_from_manifest(obj: dict) -> PartitionedUeb:
     _expect(obj, "ueb")
     d = _count(obj, "dimension")
+    if "field" in obj:
+        desc = obj["field"]
+        if not isinstance(desc, dict) or field_from_manifest({**desc, "kind": "field"}).d != d:
+            raise ManifestError(f"ueb manifest field 'field' must describe a field of order {d}")
     entries = _entries(obj, "operators", d * d)
     ops = np.empty((d, d, d, d), dtype=np.complex128)
     seen = np.zeros((d, d), dtype=bool)
     for k, entry in enumerate(entries):
         where = f"operators[{k}]"
         x, a = _field(entry, "x", where), _field(entry, "a", where)
-        if not all(isinstance(i, int) and 0 <= i < d for i in (x, a)):
-            raise ManifestError(f"operator index ({x}, {a}) out of range")
+        # a bool is an int to Python, and numpy reads a bool index as a mask
+        if not all(type(i) is int and 0 <= i < d for i in (x, a)):
+            raise ManifestError(f"{where} fields 'x', 'a' must be integers below {d}, got {x!r}, {a!r}")
         ops[x, a] = _matrix(entry, where, d)
         seen[x, a] = True
     if not seen.all():

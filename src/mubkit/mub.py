@@ -13,8 +13,9 @@ from .errors import NotPartitionedUeb, NotUnitary, ShapeMismatch, WrongFamilySiz
 
 @dataclass
 class MubFamily:
-    """d+1 orthonormal bases stored as unitary matrices whose columns are
-    the basis states.
+    """d+1 orthonormal bases stored as one (d+1, d, d) array of unitary
+    matrices whose columns are the basis states; a list of matrices is
+    accepted too.
 
     ``bases[0]`` is the distinguished basis (label ``*``); in canonical form
     it is exactly the identity (the computational basis), but families
@@ -23,18 +24,17 @@ class MubFamily:
     """
 
     d: int
-    bases: list
+    bases: np.ndarray
 
     def __post_init__(self):
+        self.bases = cplx.as_matrix(self.bases, 3)
         if len(self.bases) != self.d + 1:
             raise WrongFamilySize(
                 f"expected {self.d + 1} bases for dimension {self.d}, got {len(self.bases)}"
             )
-        self.bases = [cplx.as_matrix(b) for b in self.bases]
-        for m in self.bases:
-            if m.shape != (self.d, self.d):
-                raise ShapeMismatch(f"basis has shape {m.shape}, expected {(self.d, self.d)}")
-        if cplx.unitarity_residual(np.stack(self.bases)) >= cplx.DEFAULT_TOL:
+        if self.bases.shape[1:] != (self.d, self.d):
+            raise ShapeMismatch(f"bases are {self.bases.shape[1:]}, expected {(self.d, self.d)}")
+        if cplx.unitarity_residual(self.bases) >= cplx.DEFAULT_TOL:
             raise NotUnitary("basis matrix is not unitary within tolerance")
 
     @property
@@ -51,11 +51,12 @@ class MubFamily:
 def is_mub_pair(a, b, d: int, tol: float = cplx.DEFAULT_TOL) -> bool:
     """Whether two orthonormal bases are mutually unbiased:
     | |<a_i|b_j>|^2 - 1/d | < tol for all i, j."""
-    a, b = cplx.as_matrix(a), cplx.as_matrix(b)
-    if a.shape != (d, d) or b.shape != (d, d):
-        raise ShapeMismatch(f"expected {d}x{d} bases, got {a.shape} and {b.shape}")
-    if cplx.unitarity_residual(np.stack([a, b])) >= tol:
+    pair = cplx.as_matrix([a, b], 3)
+    if pair.shape[1:] != (d, d):
+        raise ShapeMismatch(f"expected {d}x{d} bases, got {pair.shape[1:]}")
+    if cplx.unitarity_residual(pair) >= tol:
         raise NotUnitary("basis is not unitary within tolerance")
+    a, b = pair
     overlap = np.abs(a.conj().T @ b) ** 2
     return cplx.max_abs(overlap - 1.0 / d) < tol
 
@@ -72,10 +73,9 @@ def mub_residuals(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> list:
     family scaled by sqrt(d).
     """
     d = family.d
-    bases = np.stack(family.bases)
     worst = 0.0
     for i in range(d):
-        overlap = np.abs(bases[i].conj().T @ bases[i + 1:]) ** 2
+        overlap = np.abs(family.bases[i].conj().T @ family.bases[i + 1:]) ** 2
         worst = max(worst, cplx.max_abs(overlap - 1.0 / d))
     return [cplx.residual_entry("maximal_mub_overlaps", worst, tol)]
 
@@ -88,11 +88,10 @@ def is_maximal_mub_family(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> b
 def bases_match(a, b, tol: float = cplx.DEFAULT_TOL) -> bool:
     """Equality of bases up to per-vector phase and within-basis permutation:
     the modulus Gram matrix |<a_j|b_k>| must be a permutation matrix."""
-    a, b = cplx.as_matrix(a), cplx.as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"expected equal square bases, got {a.shape} and {b.shape}")
-    if cplx.unitarity_residual(np.stack([a, b])) >= tol:
+    pair = cplx.as_matrix([a, b], 3)  # bases of unequal shapes are ragged
+    if cplx.unitarity_residual(pair) >= tol:
         raise NotUnitary("basis is not unitary within tolerance")
+    a, b = pair
     gram = np.abs(a.conj().T @ b)
     big = gram > 1.0 - tol
     small = gram < tol

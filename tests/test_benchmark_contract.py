@@ -1,0 +1,20 @@
+"""The benchmark's workloads run against the library as it is: one pass of
+``lib-gf32`` with its output checks, so a change to an object the benchmark
+reads fails here rather than only when the benchmark runs."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
+
+
+def test_lib_gf32_pass_has_no_failed_operation(tmp_path):
+    workload = workloads.WORKLOADS["lib-gf32"](0, tmp_path)
+    workload.prepare()
+    ops = workload.operations()
+    outcome, results = workloads.run_pass(ops)
+    workloads.check_pass(ops, outcome, results)
+    assert outcome.failed == 0, [(o.name, o.problems) for o in outcome.outcomes if o.problems]

@@ -113,7 +113,7 @@ def test_controlled_hadamard_checks():
     fam = controlled_from_copies(chi, 4)
     assert is_controlled_hadamard(fam)
     broken = ControlledHadamard(4, [Hadamard(4, chi.matrix.copy()) for _ in range(4)])
-    broken.members[2] = Hadamard(4, np.eye(4, dtype=complex))
+    broken.members[2] = np.eye(4)
     assert not is_controlled_hadamard(broken)
     # the worst member residual: |I I† - 4 I| = 3
     assert controlled_hadamard_residuals(broken) == [
@@ -121,6 +121,26 @@ def test_controlled_hadamard_checks():
     ]
     single = ControlledHadamard(1, [Hadamard(2, DFT2)])
     assert is_controlled_hadamard(single)
+
+
+def test_stacked_laws_report_the_worst_member():
+    """Against a per-member loop: a stack's residuals are its worst member's,
+    and it is dephased only when every member is."""
+    chi = additive_character_matrix(new_field(3, 1)).matrix
+    clean = np.repeat(chi[None], 4, axis=0)
+    assert is_dephased(clean) and all(is_dephased(m) for m in clean)
+
+    stack = clean.copy()
+    stack[2, 1, 1] *= 1 + 1e-6
+    per_member = [hadamard_residuals(m) for m in stack]
+    worst = [max(rows, key=lambda r: r["residual"]) for rows in zip(*per_member)]
+    assert not any(r["pass"] for r in worst)
+    assert hadamard_residuals(stack) == worst
+
+    stack = clean.copy()
+    stack[1, 0] *= 1j  # rephasing a row keeps a Hadamard but breaks dephasing
+    assert is_hadamard(stack) and not is_dephased(stack)
+    assert [is_dephased(m) for m in stack] == [True, False, True, True]
 
 
 def test_controlled_hadamard_member_count_enforced():

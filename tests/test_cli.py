@@ -25,16 +25,19 @@ def test_manifest_round_trips(tmp_path):
     controlled = controlled_from_copies(chi, 4)
 
     path = tmp_path / "x.json"
-    for build, parse in [
-        (manifests.field_manifest(f), manifests.field_from_manifest),
-        (manifests.ueb_manifest(ueb, f), manifests.ueb_from_manifest),
-        (manifests.mub_manifest(fam), manifests.mub_from_manifest),
-        (manifests.hadamard_manifest(chi), manifests.hadamard_from_manifest),
-        (manifests.controlled_hadamard_manifest(controlled), manifests.controlled_from_manifest),
+    for build, parse, same in [
+        (manifests.field_manifest(f), manifests.field_from_manifest, lambda g: g == f),
+        (manifests.ueb_manifest(ueb, f), manifests.ueb_from_manifest,
+         lambda u: np.array_equal(u.ops, ueb.ops)),
+        (manifests.mub_manifest(fam), manifests.mub_from_manifest,
+         lambda m: np.array_equal(m.bases, fam.bases)),
+        (manifests.hadamard_manifest(chi), manifests.hadamard_from_manifest,
+         lambda h: np.array_equal(h.matrix, chi.matrix)),
+        (manifests.controlled_hadamard_manifest(controlled), manifests.controlled_from_manifest,
+         lambda c: np.array_equal(c.members, controlled.members)),
     ]:
         manifests.write_manifest(build, path)
-        loaded = parse(manifests.load_manifest(path))
-        assert loaded is not None
+        assert same(parse(manifests.load_manifest(path)))
 
     back = manifests.ueb_from_manifest(
         json.loads(manifests.dumps(manifests.ueb_manifest(ueb, f)))
@@ -158,6 +161,8 @@ def test_verify_truncated_json(tmp_path):
 
 ONE = [[[1.0, 0.0]]]
 PAYLOAD = "malformed matrix payload: entries must be finite numbers"
+# a valid d = 2 table: every malformation of it below would otherwise PASS
+UEB2 = json.loads(manifests.dumps(manifests.ueb_manifest(ueb_from_field(new_field(2, 1)))))
 
 
 MALFORMED = {
@@ -234,6 +239,19 @@ MALFORMED = {
     # 1e400 reads back as inf
     "hadamard-overflowing-entry": (
         '{"kind": "hadamard", "dimension": 1, "matrix": [[[1e400, 0]]]}', 2, PAYLOAD),
+    # every field the writer emits is checked, not only the ones the reader needs
+    "field-wrong-dimension": (
+        {"kind": "field", "dimension": 5, "p": 2, "n": 2, "poly": [1, 1, 1]}, 2, "'dimension'"),
+    "controlled-wrong-dimension": (
+        {"kind": "controlled_hadamard", "control_dim": 2, "dimension": 7,
+         "members": [[[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]] * 2}, 2, "'dimension'"),
+    "ueb-field-of-wrong-order": (
+        {**UEB2, "field": {"p": 3, "n": 1, "poly": [0, 1]}}, 2, "'field'"),
+    "ueb-field-not-an-object": ({**UEB2, "field": [2, 1]}, 2, "'field'"),
+    # numpy would read a bool index as a mask and write the wrong slots
+    "ueb-bool-index": (
+        {**UEB2, "operators": [{**UEB2["operators"][0], "x": True}, *UEB2["operators"][1:]]}, 2,
+        "operators[0] fields 'x', 'a'"),
     "nested-too-deep": (
         '{"kind": "hadamard", "dimension": 1, "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}", 2,
         "cannot read manifest"),
@@ -359,6 +377,18 @@ def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys, command):
         run([command, *args, "--seed", 1])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["construct", "--p", 2, "--n", 2, "--poly", "1,x"],
+    ["axioms", "--p", 2, "--n", 2, "--poly", "1,,1"],
+])
+def test_unparsable_poly_is_a_usage_error(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--out", tmp_path] if args[0] == "construct" else args)
+    assert exc.value.code == 2
+    assert "--poly" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["construct", "verify", "theta", "phi", "axioms"])

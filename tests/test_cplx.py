@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mubkit import cplx
+from mubkit.characters import ControlledHadamard, Hadamard
+from mubkit.construct import PartitionedUeb
 from mubkit.errors import (
     DegenerateFamily,
     NotCommuting,
@@ -9,6 +11,7 @@ from mubkit.errors import (
     NotUnitary,
     ShapeMismatch,
 )
+from mubkit.mub import MubFamily
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -23,6 +26,46 @@ def random_unitary(d, rng):
 def test_non_finite_rejected():
     with pytest.raises(ShapeMismatch):
         cplx.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+def _innermost_row(nested):
+    while isinstance(nested[-1], list):
+        nested = nested[-1]
+    return nested
+
+
+def _malformed(shape, defect):
+    """An input of ``shape`` (trailing axes square) spoiled by one defect."""
+    if defect == "non-square":
+        return np.ones(shape[:-1] + (shape[-1] + 1,))
+    if defect == "non-finite":
+        bad = np.ones(shape)
+        bad.flat[-1] = np.inf
+        return bad
+    nested = np.ones(shape).tolist()
+    if defect == "ragged":
+        _innermost_row(nested).pop()
+    else:
+        _innermost_row(nested)[-1] = "a"
+    return nested
+
+
+CHECKED_INPUTS = {
+    "Hadamard": ((2, 2), lambda m: Hadamard(2, m)),
+    "MubFamily": ((3, 2, 2), lambda bases: MubFamily(2, bases)),
+    "ControlledHadamard": ((2, 2, 2), lambda members: ControlledHadamard(2, members)),
+    "PartitionedUeb": ((2, 2, 2, 2), lambda ops: PartitionedUeb(2, ops)),
+    "simultaneous_eigenbasis": ((2, 2, 2), cplx.simultaneous_eigenbasis),
+}
+
+
+@pytest.mark.parametrize("defect", ["ragged", "non-numeric", "non-square", "non-finite"])
+@pytest.mark.parametrize("shape,make", CHECKED_INPUTS.values(), ids=CHECKED_INPUTS.keys())
+def test_every_matrix_input_is_judged_by_one_check(shape, make, defect):
+    """Malformed matrix input raises ShapeMismatch, never a bare ValueError
+    or TypeError, whichever object or function receives it."""
+    with pytest.raises(ShapeMismatch):
+        make(_malformed(shape, defect))
 
 
 def test_is_unitary():
