@@ -9,7 +9,9 @@ newline-terminated output, so repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -80,12 +82,114 @@ def write_manifest(obj: dict, path) -> None:
 def load_manifest(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            obj = _decode(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ManifestError(f"manifest {path} has no 'kind' field")
     return obj
+
+
+# -- fast reader -------------------------------------------------------------
+
+# The value of a "matrix" key written as the writer writes it: no whitespace,
+# numeric-only text of bracket depth 3. A '"' not preceded by a backslash is a
+# string delimiter, so in valid JSON this is a key and never text in a string.
+_PAYLOAD = re.compile(r'(?<!\\)"matrix":(\[\[\[[-+.eE0-9,\[\]]*\]\]\])')
+_INT64 = range(-2**63, 2**63)
+_BLOCK = 1 << 16  # tokens split out of a payload at a time; the token table's fill limit
+
+
+class _NotTaken(Exception):
+    """A payload that ``json`` and ``matrix_from_json`` must judge."""
+
+
+def _numbers(flat: bytes) -> np.ndarray:
+    """The float64 array that ``json`` + numpy make of ``flat``, numbers
+    separated by commas; _NotTaken if ``json`` refuses it or it holds an
+    integer outside int64 (numpy makes no int64 array of it)."""
+    try:
+        numbers = json.loads(b"[" + flat + b"]")
+        floats = np.fromiter(numbers, np.float64, len(numbers))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise _NotTaken from exc
+    if any(type(numbers[j]) is int and numbers[j] not in _INT64
+           for j in np.flatnonzero(np.abs(floats) >= 2.0**63)):
+        raise _NotTaken
+    return floats
+
+
+def _pairs(text: bytes, tokens: dict) -> np.ndarray:
+    """The (r, c, 2) float64 array of a cut payload, filled a block of rows
+    at a time; _NotTaken if its brackets are not those of such an array or
+    ``json`` does not take its numbers.
+
+    A block whose tokens are all in ``tokens`` is read from that table;
+    any other block is parsed by ``json``, and its tokens are remembered
+    while the table holds fewer than _BLOCK, so a file that repeats few
+    tokens parses each about once and one that repeats none costs one
+    ``json`` parse per entry, with the table's size bounded either way."""
+    skeleton = text.translate(None, b"0123456789+-.eE")
+    r = skeleton.count(b"]],[[") + 1
+    c = skeleton.count(b"[,]") // r
+    if c < 1 or skeleton != b"[" + b",".join([b"[" + b"[,]," * (c - 1) + b"[,]]"] * r) + b"]":
+        raise _NotTaken
+    pairs = np.empty((r, c, 2))
+    rows, step = text.split(b"]],[["), max(1, _BLOCK // (2 * c))
+    rows[0] = rows[0][3:]  # drop "[[[" and, below, "]]]"; one row may be both
+    rows[-1] = rows[-1][:-3]
+    for i in range(0, r, step):
+        # With the skeleton right, a bracket survives these joins only where
+        # number text stands next to it outside a pair ("]5,[" or "]]e0,[["),
+        # and a number next to a bracket is text that ``json`` refuses.
+        flat = b",".join(rows[i:i + step]).replace(b"],[", b",")
+        block = flat.split(b",")
+        try:
+            floats = np.fromiter(map(tokens.__getitem__, block), np.float64, len(block))
+        except KeyError:
+            floats = _numbers(flat)
+            if len(tokens) < _BLOCK:
+                tokens.update(zip(block, floats.tolist()))
+        pairs[i:i + step] = floats.reshape(-1, c, 2)
+    return pairs
+
+
+def _decode(text: str):
+    """``json.loads(text)``, except that each compact numeric payload arrives
+    as a float64 (r, c, 2) array instead of nested lists of Python floats.
+
+    Each taken payload is replaced by the bare constant ``NaN``, which
+    RFC 8259 text cannot hold; ``json`` hands every such constant to one hook
+    in document order, so the k-th call is the k-th taken payload exactly
+    when the hook is called once per taken payload. Otherwise (a ``NaN`` or
+    ``Infinity`` of the file's own, say) the whole text is read by ``json``
+    alone, as it is whenever the rest does not parse."""
+    tokens, taken = {}, []
+
+    def cut(m: re.Match) -> str:
+        try:
+            taken.append(_pairs(m.group(1).encode("ascii"), tokens))
+        except _NotTaken:
+            return m.group(0)
+        return '"matrix":NaN'
+
+    rest = _PAYLOAD.sub(cut, text)
+    if taken:
+        arrays = iter(taken)
+        calls = []
+
+        def constant(name: str):
+            calls.append(name)
+            return next(arrays, None)
+
+        try:
+            obj = json.loads(rest, parse_constant=constant)
+        except (json.JSONDecodeError, RecursionError):
+            pass
+        else:
+            if len(calls) == len(taken):
+                return obj
+    return json.loads(text)
 
 
 # -- matrix <-> json ---------------------------------------------------------
@@ -104,14 +208,18 @@ def _matrix_text(m: np.ndarray) -> str:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    """The complex matrix of a payload of [re, im] rows; the one check of a
-    matrix payload: finite int or float entries in rows of one length."""
+    """The complex matrix of a payload of [re, im] rows, given as nested lists
+    or as the float64 array the reader makes of a compact payload; the one
+    check of a matrix payload: finite int or float entries in rows of one
+    length. numpy promotes a bool among numbers to 0 or 1, so lists are
+    searched for bools."""
     try:
         pairs = np.asarray(rows)
     except ValueError as exc:  # ragged rows
         raise ManifestError(f"malformed matrix payload: {exc}") from exc
     if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2
-            or not np.isfinite(pairs).all()):
+            or not np.isfinite(pairs).all() or not isinstance(rows, np.ndarray)
+            and bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))):
         raise ManifestError("malformed matrix payload: entries must be finite numbers in rows of "
                             f"[re, im] pairs, got a {pairs.dtype} array of shape {pairs.shape}")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]

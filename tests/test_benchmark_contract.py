@@ -1,9 +1,12 @@
 """The benchmark's workloads run against the library as it is: one pass of
-``lib-gf32`` with its output checks, so a change to an object the benchmark
-reads fails here rather than only when the benchmark runs."""
+``lib-gf32`` and of ``hadamard-gf729`` with their output checks, so a change
+to an object or a manifest the benchmark reads fails here rather than only
+when the benchmark runs."""
 
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -11,8 +14,9 @@ sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
 
 
-def test_lib_gf32_pass_has_no_failed_operation(tmp_path):
-    workload = workloads.WORKLOADS["lib-gf32"](0, tmp_path)
+@pytest.mark.parametrize("name", ["lib-gf32", "hadamard-gf729"])
+def test_workload_pass_has_no_failed_operation(tmp_path, name):
+    workload = workloads.WORKLOADS[name](0, tmp_path)
     workload.prepare()
     ops = workload.operations()
     outcome, results = workloads.run_pass(ops)

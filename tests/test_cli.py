@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 import time
 
 import numpy as np
@@ -165,6 +167,48 @@ PAYLOAD = "malformed matrix payload: entries must be finite numbers"
 UEB2 = json.loads(manifests.dumps(manifests.ueb_manifest(ueb_from_field(new_field(2, 1)))))
 
 
+def _compact(matrix: str, d: int = 1) -> str:
+    """A hadamard manifest written as the writer writes it: no whitespace."""
+    return f'{{"kind":"hadamard","dimension":{d},"matrix":{matrix}}}'
+
+
+def _compact_mub(first: str) -> str:
+    return ('{"kind":"mub","dimension":1,"bases":[{"label":"*","matrix":' + first
+            + '},{"label":"0","matrix":[[[1,0]]]}]}')
+
+
+# Payloads in the writer's compact form, which the reader cuts out of the text
+# before ``json`` sees it: each must fail as it does when ``json`` reads it.
+COMPACT = {
+    "overflowing-entry": (_compact("[[[1e400,0]]]"), 2, PAYLOAD),
+    "huge-int-entry": (_compact("[[[" + "9" * 400 + ",0]]]"), 2, PAYLOAD),
+    "three-part-entry": (_compact("[[[1,0,7]]]"), 2, "malformed matrix payload"),
+    "ragged-rows": (_compact("[[[1,0],[1,0]],[[1,0]]]", 2), 2, "malformed matrix payload"),
+    "empty-pair": (_compact("[[[]]]"), 2, "malformed matrix payload"),
+    "empty-token": (_compact("[[[,0]]]"), 2, "cannot read manifest"),
+    "leading-zero": (_compact("[[[01,0]]]"), 2, "cannot read manifest"),
+    "plus-sign": (_compact("[[[+1,0]]]"), 2, "cannot read manifest"),
+    "bare-dot-end": (_compact("[[[1.,0]]]"), 2, "cannot read manifest"),
+    "bare-dot-start": (_compact("[[[.5,0]]]"), 2, "cannot read manifest"),
+    "bare-exponent": (_compact("[[[1e,0]]]"), 2, "cannot read manifest"),
+    "extra-bracket": (_compact("[[[1,0]]]]"), 2, "cannot read manifest"),
+    # number text outside a pair, next to a bracket the skeleton still has
+    "number-after-bracket": (_compact("[[[1,0]],5[[1,0]]]", 2), 2, "cannot read manifest"),
+    "number-before-bracket": (_compact("[[[1,0]5],[[1,0]]]", 2), 2, "cannot read manifest"),
+    "exponent-after-bracket": (_compact("[[[1,0]e0]]"), 2, "cannot read manifest"),
+    "glued-row-boundary": (
+        _compact("[" + ",".join(["[[1,0]]"] * 33000) + "e0," + ",".join(["[[1,0]]"] * 7000) + "]"),
+        2, "cannot read manifest"),
+    "nested-too-deep": (_compact("[" * 10**5 + "]" * 10**5), 2, "cannot read manifest"),
+    # JSON keeps the last of duplicate keys: a valid payload before it is dropped
+    "duplicate-key": (_compact("[[[1,0]]],\"matrix\":[[[1,0,7]]]"), 2, "malformed matrix payload"),
+    "duplicate-key-both-cut": (_compact("[[[1,0]]],\"matrix\":[[[1e400,0]]]"), 2, PAYLOAD),
+    # a taken payload becomes the bare constant NaN in the text json reads;
+    # neither a string "NaN" nor a NaN of the file's own may take its array
+    "string-placeholder": (_compact_mub('"NaN"'), 2, "got a <U3 array of shape ()"),
+    "bare-placeholder": (_compact_mub("NaN"), 2, "got a float64 array of shape ()"),
+}
+
 MALFORMED = {
     "report-empty": ({"kind": "report", "results": []}, 2, "'results'"),
     "report-no-residual": (
@@ -234,6 +278,11 @@ MALFORMED = {
     "ueb-bool-entries": (
         {"kind": "ueb", "dimension": 1, "operators": [{"x": 0, "a": 0, "matrix": [[[True, False]]]}]},
         2, PAYLOAD),
+    # numpy would promote a bool among numbers to 0 or 1
+    "hadamard-bool-and-int": (
+        {"kind": "hadamard", "dimension": 1, "matrix": [[[True, 0]]]}, 2, PAYLOAD),
+    "hadamard-float-and-bool": (
+        {"kind": "hadamard", "dimension": 1, "matrix": [[[1.0, True]]]}, 2, PAYLOAD),
     "controlled-null-entry": (
         {"kind": "controlled_hadamard", "control_dim": 1, "members": [[[[None, 0]]]]}, 2, PAYLOAD),
     # 1e400 reads back as inf
@@ -255,6 +304,7 @@ MALFORMED = {
     "nested-too-deep": (
         '{"kind": "hadamard", "dimension": 1, "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}", 2,
         "cannot read manifest"),
+    **{f"compact-{name}": (text, code, needle) for name, (text, code, needle) in COMPACT.items()},
 }
 
 
@@ -268,6 +318,151 @@ def test_verify_malformed_manifest(tmp_path, capsys, manifest, code, needle):
     captured = capsys.readouterr()
     assert needle in captured.out + captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("text", [t for t, _, _ in COMPACT.values()], ids=COMPACT.keys())
+def test_compact_payload_fails_as_json_reads_it(tmp_path, capsys, monkeypatch, text):
+    """Exit code, stdout and stderr of ``verify`` on a compact payload are
+    those of the same file read by ``json`` alone."""
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    fast = run(["verify", path]), capsys.readouterr()
+    monkeypatch.setattr(manifests, "_PAYLOAD", re.compile("(?!)"))
+    assert (run(["verify", path]), capsys.readouterr()) == fast
+
+
+def _judged(text: str, decode):
+    """What ``matrix_from_json`` makes of the ``matrix`` of ``decode(text)``:
+    its float64 bit patterns, or the error."""
+    try:
+        rows = decode(text)["matrix"]
+        return manifests.matrix_from_json(rows).view(np.float64).view(np.int64).tolist()
+    except (json.JSONDecodeError, manifests.ManifestError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_mutated_compact_payloads_read_as_json_reads_them():
+    """Compact payloads with one to three characters of the payload alphabet
+    inserted, deleted or replaced read exactly as ``json.loads`` +
+    ``matrix_from_json`` read them, whether the reader takes them or not;
+    unmutated, each is taken unless it holds an integer outside int64."""
+    rng = random.Random(0)
+    huge = "12345678901234567890"
+    tokens = ["0", "-0", "1", "-1", "0.5", "1e3", "-2.5E-3", huge]
+    for _ in range(3000):
+        r, c = rng.randint(1, 3), rng.randint(1, 3)
+        text = "[" + ",".join("[" + ",".join(
+            f"[{rng.choice(tokens)},{rng.choice(tokens)}]" for _ in range(c)) + "]"
+            for _ in range(r)) + "]"
+        taken = isinstance(manifests._decode(_compact(text))["matrix"], np.ndarray)
+        assert taken == (huge not in text), text
+        text = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(text)), rng.randrange(3)
+            if op == 0:
+                text.insert(i, rng.choice("[],0123456789-+.eE"))
+            elif op == 1:
+                del text[i]
+            else:
+                text[i] = rng.choice("[],0123456789-+.eE")
+        text = _compact("".join(text))
+        assert _judged(text, manifests._decode) == _judged(text, json.loads), text
+
+
+def test_manifest_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"kind":"hadamard","dimension":1,"matrix":[[[1,0]]],"note":"\xff"}')
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read manifest {path}: 'utf-8' codec")
+
+
+def _payloads(obj):
+    """Every ``matrix`` value of a parsed manifest, in document order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from [value] if key == "matrix" else _payloads(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _payloads(value)
+
+
+def _read_both(path):
+    """The payloads of ``path`` through ``load_manifest`` and through
+    ``json.load`` + ``matrix_from_json``, as float64 bit patterns."""
+    bits = lambda rows: manifests.matrix_from_json(rows).view(np.float64).view(np.int64)
+    fast = list(_payloads(manifests.load_manifest(path)))
+    with open(path, encoding="utf-8") as fh:
+        ref = list(_payloads(json.load(fh)))
+    assert all(isinstance(rows, np.ndarray) for rows in fast)
+    return [bits(rows) for rows in fast], [bits(rows) for rows in ref]
+
+
+def _oracle_files(tmp_path):
+    for p, n in [(2, 3), (3, 2)]:
+        assert run(["construct", "--p", p, "--n", n, "--emit", "all",
+                    "--out", tmp_path / f"gf{p}{n}"]) == 0
+    # psi of GF(3^4) holds the entry [-0, -1]; its UEB and MUB take a minute to build
+    for emit in ("field", "chi", "psi"):
+        assert run(["construct", "--p", 3, "--n", 4, "--emit", emit,
+                    "--out", tmp_path / "gf34"]) == 0
+    d = tmp_path / "gf32"
+    chi = additive_character_matrix(new_field(3, 2))
+    manifests.write_manifest(
+        manifests.controlled_hadamard_manifest(controlled_from_copies(chi, 9)), d / "hfam.json")
+    assert run(["theta", d / "ueb.json", "--out", d / "theta.json"]) == 0
+    assert run(["phi", d / "theta.json", d / "hfam.json", d / "chi.json",
+                "--out", d / "phi.json"]) == 0
+    return sorted(tmp_path.glob("*/*.json"))
+
+
+def test_compact_payloads_read_bit_for_bit_as_json_reads_them(tmp_path):
+    """The fast reader against ``json.load`` + ``matrix_from_json``, compared
+    as int64 views, so the sign of zero counts."""
+    files = _oracle_files(tmp_path)
+    assert {f.name for f in files} >= {"theta.json", "phi.json", "ueb.json", "mub.json", "psi.json"}
+    for path in files:
+        fast, ref = _read_both(path)
+        assert len(fast) == len(ref) and all(map(np.array_equal, fast, ref)), path
+    edge = ["-0", "-0.0", "1E+2", "5e-324", "1e-400", "123456789012345678",
+            "-9223372036854775808", "9223372036854775807", "1.5e-3"]
+    path = tmp_path / "edge.json"
+    path.write_text(_compact("[[" + ",".join(f"[{t},{t}]" for t in edge) + "]]"))
+    fast, ref = _read_both(path)
+    assert fast[0].shape == (1, 2 * len(edge)) and np.array_equal(fast[0], ref[0])
+
+
+def test_payload_of_more_distinct_tokens_than_the_table_holds(tmp_path, monkeypatch):
+    """Once the token table holds ``_BLOCK`` tokens it stops growing: a block
+    it covers is read from it, any other is parsed by ``json``, and both read
+    as ``json`` reads them."""
+    monkeypatch.setattr(manifests, "_BLOCK", 8)  # 4 rows of one pair per block
+    values = [f"{i}.{i % 7}e-{i}" for i in range(8)]
+    rows = [f"[[{v},-{v}]]" for v in values + values]  # blocks: new, new, known, unknown
+    path = tmp_path / "m.json"
+    path.write_text(_compact("[" + ",".join(rows) + "]", 16))
+    parsed = []
+    numbers = manifests._numbers
+    monkeypatch.setattr(manifests, "_numbers", lambda flat: parsed.append(flat) or numbers(flat))
+    fast, ref = _read_both(path)
+    assert fast[0].shape == (16, 2) and np.array_equal(fast[0], ref[0])
+    assert len(parsed) == 3  # the third block came from the table
+
+
+def test_integer_minus_zero_reads_as_plus_zero(tmp_path):
+    """``json`` reads the integer ``-0`` as 0, so it is +0.0; ``-0.0`` keeps its sign."""
+    path = tmp_path / "m.json"
+    path.write_text(_compact("[[[-0,-0.0]]]"))
+    z = manifests.load_manifest(path)["matrix"]
+    assert z.tolist() == [[[0.0, 0.0]]] and list(np.signbit(z).ravel()) == [False, True]
+
+
+def test_only_values_of_matrix_keys_are_cut(tmp_path):
+    """A key that merely ends in an escaped quote and ``matrix`` is another
+    key; its value stays the list ``json`` makes of it."""
+    path = tmp_path / "m.json"
+    path.write_text(_compact('[[[1,0]]],"x\\"matrix":[[[1,0]]]'))
+    obj = manifests.load_manifest(path)
+    assert isinstance(obj["matrix"], np.ndarray) and obj['x"matrix'] == [[[1, 0]]]
 
 
 def test_verify_missing_file():
