@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, OSError, ValueError) as exc:
+    except (ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_OR_IO
     except MubkitError as exc:

@@ -15,6 +15,10 @@ class NonPrime(MubkitError):
     """The requested characteristic is not a prime number."""
 
 
+class NonPositiveDegree(MubkitError):
+    """The requested extension degree n is below 1."""
+
+
 class ReduciblePolynomial(MubkitError):
     """A supplied modulus polynomial is not irreducible over F_p."""
 

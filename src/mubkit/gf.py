@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    NonPositiveDegree,
     NonPrime,
     ReduciblePolynomial,
     TooLarge,
@@ -183,7 +184,7 @@ class FiniteField:
 
     def __init__(self, p: int, n: int, modulus: list[int] | None = None):
         if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
+            raise NonPositiveDegree(f"extension degree must be >= 1, got {n}")
         # size first, so a huge p or n is refused before is_prime or a huge
         # p**n runs; for p >= 2, n > 16 alone exceeds the limit
         if p >= 2 and (n > 16 or p**n > MAX_ORDER):

@@ -221,9 +221,10 @@ def test_ring_prime_modulus_passes_everything():
 
 # -- one-shot oracles --------------------------------------------------------
 #
-# The suite contracts the cancellation law pairwise and evaluates the
-# five-index laws on the dots' function tables. These are the one-shot
-# einsums it replaced; each must give exactly the same residual.
+# The suite evaluates the five-index laws, associativity, distributivity,
+# the bialgebra copy law, strong complementarity and cancellation on the
+# dots' function tables. These are the dense einsums it replaced; each must
+# give exactly the same residual.
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 DOTS = ("black", "red", "yellow_green", "green")
@@ -255,17 +256,42 @@ def oneshot_spider_fusion(m):
     return _max_diff(tree_a, tree_b)
 
 
+def oneshot_associativity(m):
+    return _max_diff(_oneshot("wab,owc->oabc", m, m), _oneshot("oaw,wbc->oabc", m, m))
+
+
 def oneshot_residuals(t):
     """Residuals of every law the suite no longer contracts in one shot."""
-    out = {
-        f"{which}.spider_fusion": oneshot_spider_fusion(getattr(t, axioms._ALGEBRAS[which][0]))
-        for which in DOTS
-    }
+    out = {}
+    for which in DOTS:
+        m = getattr(t, axioms._ALGEBRAS[which][0])
+        out[f"{which}.spider_fusion"] = oneshot_spider_fusion(m)
+        out[f"{which}.associativity"] = oneshot_associativity(m)
     d = t.d
     target = _oneshot("og,vb->ovgb", np.eye(d - 1), np.eye(d))
     out["yellow-black.cancellation"] = _max_diff(oneshot_cancellation(t), target)
     mr = t.red_mult.astype(complex)
     my = t.yellow_mult.astype(complex)
+    mb = t.black_mult
+    out["full_multiplication_associativity"] = oneshot_associativity(my)
+    out["distributivity_left"] = _max_diff(
+        _oneshot("oaw,wbc->oabc", my, mr),
+        _oneshot("axy,uxb,vyc,ouv->oabc", mb, my, my, mr),
+    )
+    out["distributivity_right"] = _max_diff(
+        _oneshot("owc,wab->oabc", my, mr),
+        _oneshot("cxy,uax,vby,ouv->oabc", mb, my, my, mr),
+    )
+    for pair, m in (("red-black", mr), ("yellow-black", my)):
+        out[f"{pair}.bialgebra_mult_copy"] = _max_diff(
+            _oneshot("wop,wab->opab", mb, m),
+            _oneshot("axy,buv,oxu,pyv->opab", mb, mb, m, m),
+        )
+    eye = np.eye(d * d)
+    s1 = _oneshot("aow,pwb->opab", mb, mr).reshape(d * d, d * d)
+    s2 = _oneshot("aow,pwb->opab", mr, mb).reshape(d * d, d * d)
+    out["red-black.strong_complementarity_copy_then_add"] = _max_diff(s1.conj().T @ s1, eye)
+    out["red-black.strong_complementarity_split_then_copy"] = _max_diff(s2.conj().T @ s2, eye)
     out["sum_reassociation"] = _max_diff(
         _oneshot("oab,awg,bxz,gyz->owxyz", mr, mr, my, my),
         _oneshot("oab,awg,byz,gxz->owxyz", mr, mr, my, my),
@@ -281,7 +307,9 @@ def suite_residuals(t):
     report = []
     for which in DOTS:
         report.extend(verify_frobenius(t, which))
-    report.extend(verify_bialgebra_and_complementarity(t, "yellow-black"))
+    for pair in ("red-black", "yellow-black"):
+        report.extend(verify_bialgebra_and_complementarity(t, pair))
+    report.extend(verify_field_equations(t))
     report.extend(verify_auxiliary_identities(t, controlled_from_copies(t.chi, t.d)))
     return {r["equation"]: r["residual"] for r in report}
 
@@ -296,7 +324,6 @@ def assert_matches_oneshot(t):
 def test_staged_laws_match_oneshot_oracle(p, n):
     t = build_structure_tensors(new_field(p, n))
     assert_matches_oneshot(t)
-    assert np.array_equal(axioms._cancellation(t), oneshot_cancellation(t))
 
 
 # Z_d spider-fusion residual of the group tensor: the largest count of the
@@ -350,17 +377,27 @@ def test_spider_fusion_matches_oneshot_on_every_binary_table(which):
 
 
 def test_reassociations_match_oneshot_on_every_binary_table_pair():
-    """Both reassociations for every pair of total operations on two
-    elements, so that each leg of each lookup is exercised in order."""
+    """Every table law (both reassociations, distributivity, associativity,
+    the bialgebra copy law, strong complementarity and cancellation) for
+    every pair of total operations on two elements, so that each leg of each
+    lookup is exercised in order."""
     t = build_structure_tensors(new_field(2, 1))
-    controlled = controlled_from_copies(t.chi, 2)
     totals = [tab for tab in BINARY_TABLES if (tab >= 0).all()]
-    laws = ("sum_reassociation", "product_reassociation")
     for add, mul in itertools.product(totals, totals):
-        planted = dataclasses.replace(t, red_mult=_tensor(add), yellow_mult=_tensor(mul))
-        got = {r["equation"]: r["residual"] for r in verify_auxiliary_identities(planted, controlled)}
-        expected = oneshot_residuals(planted)
-        assert [got[law] for law in laws] == [expected[law] for law in laws], (add, mul)
+        assert_matches_oneshot(dataclasses.replace(t, red_mult=_tensor(add), yellow_mult=_tensor(mul)))
+
+
+def test_split_then_copy_counts_preimages():
+    """The constant addition on three elements: every column of its table
+    takes the value 0 three times, so the split-then-copy Gram holds 3 on
+    its diagonal and the residual is 2, where copy-then-add only reads 1."""
+    f = new_field(3, 1)
+    t = axioms._structure_tensors(np.zeros((3, 3), dtype=int), f.mul_table,
+                                  additive_character_matrix(f).matrix, None)
+    expected = oneshot_residuals(t)
+    assert expected["red-black.strong_complementarity_split_then_copy"] == 2.0
+    assert expected["red-black.strong_complementarity_copy_then_add"] == 1.0
+    assert_matches_oneshot(t)
 
 
 def test_table_reads_the_operation_tables():
@@ -387,6 +424,35 @@ def test_table_refuses_a_tensor_that_is_not_a_function(fault):
         m[2, 0, 1] = 1.0  # column (0, 1) already holds a 1 at c = 1
     with pytest.raises(ValueError, match="red_mult is not the 0/1 tensor of a partial function"):
         axioms._table(m, "red_mult")
+
+
+# each pair's product tensor and the laws read off its table
+TABLE_LAWS = {
+    "red-black": ("red_mult", ["bialgebra_mult_copy", "strong_complementarity_copy_then_add",
+                               "strong_complementarity_split_then_copy"]),
+    "yellow-black": ("yellow_mult", ["bialgebra_mult_copy", "cancellation"]),
+}
+
+
+@pytest.mark.parametrize("pair", TABLE_LAWS)
+@pytest.mark.parametrize("fault,residual", [("half", 0.5), ("two_ones", 1.0)])
+def test_refused_product_fails_its_table_laws(pair, fault, residual):
+    """A product that is not the 0/1 tensor of a function gets a report, not
+    a ValueError: bialgebra_mult_copy fails by the largest entry where the
+    tensor differs from the table read off it, and every other law read off
+    that table fails too."""
+    t = build_structure_tensors(new_field(3, 1))
+    mult, laws = TABLE_LAWS[pair]
+    m = getattr(t, mult).copy()
+    c = m[:, 0, 1].argmax()
+    if fault == "half":
+        m[c, 0, 1] = 0.5
+    else:
+        m[(c + 1) % 3, 0, 1] = 1.0  # a second 1 in column (0, 1)
+    report = verify_bialgebra_and_complementarity(dataclasses.replace(t, **{mult: m}), pair)
+    report = {r["equation"]: r for r in report}
+    assert report[f"{pair}.bialgebra_mult_copy"]["residual"] == residual
+    assert not any(report[f"{pair}.{law}"]["pass"] for law in laws)
 
 
 def test_ring_control_large_composite_matches_oneshot():

@@ -1,7 +1,7 @@
 """The benchmark's workloads run against the library as it is: one pass of
-``lib-gf32`` and of ``hadamard-gf729`` with their output checks, so a change
-to an object or a manifest the benchmark reads fails here rather than only
-when the benchmark runs."""
+each workload (``lib-gf32``, ``axioms-suite``, ``hadamard-gf729``) with its
+output checks, so a change to an object, a manifest or a report the
+benchmark reads fails here rather than only when the benchmark runs."""
 
 import sys
 from pathlib import Path
@@ -14,7 +14,7 @@ sys.path.insert(0, str(PERFBENCH))
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["lib-gf32", "hadamard-gf729"])
+@pytest.mark.parametrize("name", ["lib-gf32", "axioms-suite", "hadamard-gf729"])
 def test_workload_pass_has_no_failed_operation(tmp_path, name):
     workload = workloads.WORKLOADS[name](0, tmp_path)
     workload.prepare()

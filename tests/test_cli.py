@@ -532,6 +532,13 @@ def test_axioms_command_rejects_bad_field(capsys):
     assert run(["axioms", "--p", 6, "--n", 1]) == 2
 
 
+def test_building_commands_refuse_degree_zero(tmp_path, capsys):
+    for command in (["construct", "--out", tmp_path], ["axioms"]):
+        assert run([*command, "--p", 2, "--n", 0]) == 2
+        assert capsys.readouterr().err.startswith("error: NonPositiveDegree: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("p,n,digest", [
     (3, 2, "d6d8f4547bbebcdd4ffa4c03749ac0308e89a863247467091f735732fbdc5b42"),
     (2, 4, "b48d3818085e1f9a75ca3ad706b06e8b9300e49e6a9bffee47afb046237c189e"),

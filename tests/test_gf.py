@@ -5,6 +5,7 @@ import pytest
 
 from mubkit.errors import (
     IndexOutOfRange,
+    NonPositiveDegree,
     NonPrime,
     ReduciblePolynomial,
     TooLarge,
@@ -41,6 +42,11 @@ def test_reducible_modulus_rejected():
 def test_non_prime_rejected():
     with pytest.raises(NonPrime):
         new_field(4, 1)
+
+
+def test_non_positive_degree_rejected():
+    with pytest.raises(NonPositiveDegree, match="got 0"):
+        new_field(2, 0)
 
 
 def test_too_large_rejected():
