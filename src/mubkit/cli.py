@@ -73,8 +73,10 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _residuals(kind, obj, tol):
-    """Residual entries of a loaded manifest object."""
+def _residuals(path, tol):
+    """Residual entries of the manifest at ``path``."""
+    obj = manifests.load_manifest(path)
+    kind = obj["kind"]
     if kind == "field":
         manifests.field_from_manifest(obj)  # raises if p is not prime or the modulus is reducible
         return [cplx.residual_entry("field_valid", 0.0, tol)]
@@ -86,6 +88,7 @@ def _residuals(kind, obj, tol):
         return mub_residuals(manifests.mub_from_manifest(obj), tol)
     if kind == "ueb":
         ueb = manifests.ueb_from_manifest(obj)
+        del obj  # the payloads of a real table take twice its memory
         return ueb_residuals(ueb, tol) + partition_residuals(ueb, tol)
     if kind == "report":
         return manifests.report_from_manifest(obj, tol)
@@ -100,8 +103,7 @@ def _print_report(report) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = manifests.load_manifest(args.path)
-    return VERIFY_FAIL if _print_report(_residuals(obj["kind"], obj, args.tol)) else 0
+    return VERIFY_FAIL if _print_report(_residuals(args.path, args.tol)) else 0
 
 
 def cmd_theta(args) -> int:

@@ -3,13 +3,17 @@ a MUB family plus Hadamard data, and from a Latin square; the UEB and
 partition laws as residual reports; eigenvalue-table extraction;
 conjugation.
 
-An operator table is one complex128 array ``ops`` of shape (d, d, d, d):
-``ops[x, a]`` is the operator U_{x,a}. Partition convention, fixed
-positionally rather than by labels: the identity sits at (0, 0), the
-distinguished commuting class C_* consists of the a = 0 column for x != 0,
-and class C_x consists of row x with a != 0. Each class therefore has
-exactly d-1 members and, together with the identity, forms a maximal
-commuting set.
+An operator table is one array ``ops`` of shape (d, d, d, d), float64 or
+complex128 by the rule of :func:`mubkit.cplx.as_matrix`: ``ops[x, a]`` is
+the operator U_{x,a}. A table is built in the dtype of its inputs, so the
+tables of GF(2^n), whose characters are +-1, and their conjugates by real
+matrices are float64, and every law on them runs in real arithmetic.
+
+Partition convention, fixed positionally rather than by labels: the
+identity sits at (0, 0), the distinguished commuting class C_* consists of
+the a = 0 column for x != 0, and class C_x consists of row x with a != 0.
+Each class therefore has exactly d-1 members and, together with the
+identity, forms a maximal commuting set.
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ from .mub import MubFamily, is_maximal_mub_family, mub_from_ueb
 class PartitionedUeb:
     """d x d table of d x d unitaries with the positional partition
     described in the module docstring. ``ops`` may be given as a (d, d, d, d)
-    array or as nested rows of matrices; it is stored as the array, and
-    every accessor returns a view of it."""
+    array or as nested rows of matrices; it is stored as the array, float64
+    when every imaginary part is +0.0 and complex128 otherwise
+    (:func:`mubkit.cplx.as_matrix`), and every accessor returns a view of
+    it."""
 
     d: int
     ops: np.ndarray
@@ -82,9 +88,10 @@ def ueb_from_field(f: FiniteField) -> PartitionedUeb:
         U_{x,a} |i> = chi[1][i*a] |i + a*x>   for a != 0,
         U_{x,0} |i> = |i + x>,
 
-    so entries are exact roots of unity and zeros. The a = 0 column is the
-    regular representation of the additive group (the shift operators) and
-    forms the distinguished class.
+    so entries are exact roots of unity and zeros, in the dtype of chi
+    (float64 for p = 2). The a = 0 column is the regular representation of
+    the additive group (the shift operators) and forms the distinguished
+    class.
     """
     d = f.d
     chi = additive_character_matrix(f).matrix
@@ -93,7 +100,7 @@ def ueb_from_field(f: FiniteField) -> PartitionedUeb:
     x, a, i = np.ix_(range(d), range(d), range(d))
     shift = np.where(a == 0, x, mul[a, x])
     phase = np.where(a == 0, 1.0, chi[1, mul[i, a]])
-    ops = np.zeros((d, d, d, d), dtype=np.complex128)
+    ops = np.zeros((d, d, d, d), dtype=chi.dtype)
     ops[x, a, add[i, shift], i] = phase
     return PartitionedUeb(d, ops)
 
@@ -113,7 +120,8 @@ def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> np.n
     indexed by the shift column j, given as a :class:`ControlledHadamard`
     or a list. Unitarity comes from the Latin-square columns and
     unit-modulus phases; the trace law from Hadamard row orthogonality.
-    Returns the raw (d, d, d, d) table ``[i, j]`` (no partition is implied).
+    Returns the raw (d, d, d, d) table ``[i, j]`` (no partition is implied)
+    in the dtype of the Hadamards.
     """
     s = np.asarray(square, dtype=np.int64)
     if not is_latin_square(s):
@@ -130,7 +138,7 @@ def shift_multiply_ueb(square, hadamards, tol: float = cplx.DEFAULT_TOL) -> np.n
         raise NotHadamard("shift-and-multiply phase matrix fails the Hadamard laws")
 
     i, j, k = np.ix_(range(d), range(d), range(d))
-    table = np.zeros((d, d, d, d), dtype=np.complex128)
+    table = np.zeros((d, d, d, d), dtype=h.dtype)
     table[i, j, s[k, j], k] = h[j, i, k]
     return table
 
@@ -221,12 +229,13 @@ def eigendata(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL, seed: int = 0)
 
 def conjugate_ueb(ueb: PartitionedUeb, w, tol: float = cplx.DEFAULT_TOL) -> PartitionedUeb:
     """Replace every operator by W† U W; all UEB and partition laws are
-    preserved since conjugation preserves traces, products and commutators."""
+    preserved since conjugation preserves traces, products and commutators.
+    The result is real when both the table and W are."""
     w = cplx.as_matrix(w)
     if not cplx.is_unitary(w, tol):
         raise NotUnitary("conjugating matrix is not unitary within tolerance")
     wd = w.conj().T
-    ops = np.empty_like(ueb.ops)
+    ops = np.empty(ueb.ops.shape, np.result_type(ueb.ops, w))
     for x in range(ueb.d):
         ops[x] = wd @ ueb.ops[x] @ w
     return PartitionedUeb(ueb.d, ops)
@@ -242,7 +251,9 @@ def ueb_residuals(table, tol: float = cplx.DEFAULT_TOL) -> list:
     d = table.d
     unitarity = max(cplx.unitarity_residual(row) for row in table.ops)
     f = table.ops.reshape(d * d, d * d)
-    trace_law = cplx.max_abs(f.conj() @ f.T - d * np.eye(d * d))
+    gram = f.conj() @ f.T
+    gram[np.diag_indices(d * d)] -= d
+    trace_law = cplx.max_abs(gram)
     return [
         cplx.residual_entry("ueb_unitarity", unitarity, tol),
         cplx.residual_entry("ueb_trace_law", trace_law, tol),

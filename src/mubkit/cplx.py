@@ -1,12 +1,17 @@
-"""Dense complex linear algebra for small matrices.
+"""Dense real and complex linear algebra for small matrices.
 
-Matrices are plain ``numpy`` arrays of complex128, and every matrix or
-stack input passes the one check :func:`as_matrix`. The module supplies
-the three matrix laws as batched residuals over (k, d, d) stacks
-(unitarity, pairwise commutators, off-diagonal residue), which every law
-check calls; the residual entry every law check reports; a Hermitian
-eigensolver (LAPACK ``eigh``); and simultaneous diagonalization of
-commuting unitary families via a seeded random Hermitian combination.
+Matrices are plain ``numpy`` arrays, and every matrix or stack input passes
+the one check :func:`as_matrix`, which also fixes its dtype: float64 when
+every imaginary part is +0.0 (the tables of GF(2^n), whose characters are
++-1), complex128 otherwise. The laws run in the dtype of their input; the
+spectral path (:func:`eig_hermitian`, :func:`phase_normalize`,
+:func:`simultaneous_eigenbasis`) always works in complex128.
+
+The module supplies the three matrix laws as batched residuals over
+(k, d, d) stacks (unitarity, pairwise commutators, off-diagonal residue),
+which every law check calls; the residual entry every law check reports; a
+Hermitian eigensolver (LAPACK ``eigh``); and simultaneous diagonalization
+of commuting unitary families via a seeded random Hermitian combination.
 """
 
 from __future__ import annotations
@@ -29,18 +34,31 @@ HERMITIAN_TOL = 1e-12
 SIMDIAG_RETRIES = 8
 
 
+def imag_is_zero(m: np.ndarray) -> bool:
+    """Every imaginary part of the complex array ``m`` is +0.0 bit for bit.
+    A -0.0 counts as nonzero, so an array that holds one stays complex and
+    the writer keeps writing it as ``-0``."""
+    return not m.imag.view(np.uint64).any()
+
+
 def as_matrix(a, ndim: int = 2) -> np.ndarray:
-    """``a`` as a non-empty complex128 array of ``ndim`` axes whose last two
-    are square and whose entries are finite: a matrix (2), a (k, d, d) stack
-    (3) or an operator table (4). The one check of matrix input; anything
-    else raises :class:`ShapeMismatch`."""
+    """``a`` as a non-empty array of ``ndim`` axes whose last two are square
+    and whose entries are finite: a matrix (2), a (k, d, d) stack (3) or an
+    operator table (4). The array is float64 exactly when every imaginary
+    part is +0.0 bit for bit (:func:`imag_is_zero`; a real input holds no
+    other kind), complex128 otherwise, and no entry is rounded beyond what
+    complex128 would round. The one check of matrix input; anything else
+    raises :class:`ShapeMismatch`."""
     try:
-        m = np.asarray(a, dtype=np.complex128)
+        m = np.asarray(a)
+        m = m.astype(np.float64 if m.dtype.kind in "biuf" else np.complex128, copy=False)
     except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
         raise ShapeMismatch(f"expected a numeric array of {ndim} axes: {exc}") from exc
     if m.ndim != ndim or not m.size or m.shape[-1] != m.shape[-2]:
         raise ShapeMismatch(
             f"expected a non-empty array of {ndim} axes, the last two square, got shape {m.shape}")
+    if np.iscomplexobj(m) and imag_is_zero(m):
+        m = m.real.copy()
     if not np.all(np.isfinite(m)):
         raise ShapeMismatch("matrix contains non-finite entries")
     return m
@@ -51,8 +69,14 @@ def identity(d: int) -> np.ndarray:
 
 
 def max_abs(a) -> float:
+    """Largest modulus of an entry; 0.0 when empty. A float array is read
+    twice in place instead of through an array of moduli as large as it."""
     a = np.asarray(a)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    if a.size == 0:
+        return 0.0
+    if a.dtype.kind == "f":
+        return abs(float(max(a.max(), -a.min())))  # abs turns -0.0 into 0.0
+    return float(np.max(np.abs(a)))
 
 
 def residual_entry(equation: str, residual: float, tol: float) -> dict:
@@ -107,9 +131,10 @@ class EigenDecomposition:
 def eig_hermitian(a, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh`` on its
     symmetrized part; raises :class:`NotHermitian` when the input is not
-    Hermitian within ``tol``.
+    Hermitian within ``tol``. A real input is diagonalized as complex128,
+    since a real ``eigh`` returns other eigenvectors.
     """
-    a = as_matrix(a)
+    a = as_matrix(a).astype(np.complex128, copy=False)
     if max_abs(a - a.conj().T) > max(tol, 1e-12):
         raise NotHermitian(f"matrix deviates from Hermitian by {max_abs(a - a.conj().T):.3g}")
     values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
@@ -121,8 +146,9 @@ def phase_normalize(basis, tol: float = DEFAULT_TOL) -> np.ndarray:
     (lowest index on modulus ties within tol) is made real positive.
 
     Idempotent: renormalizing an already-normalized basis is the identity.
+    The result is complex128 whatever the input's dtype.
     """
-    w = as_matrix(basis).copy()
+    w = as_matrix(basis).astype(np.complex128)
     for k in range(w.shape[1]):
         col = w[:, k]
         mods = np.abs(col)
@@ -145,7 +171,9 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
     :class:`DegenerateFamily` signals a genuinely shared eigenspace.
 
     Columns are ordered by ascending eigenvalue of the combination and
-    phase-normalized via :func:`phase_normalize`.
+    phase-normalized via :func:`phase_normalize`. The combination is
+    complex128 whatever the family's dtype, so a real family gets the
+    eigenbasis it would get as a complex one.
     """
     mats = as_matrix(family, 3)
     if unitarity_residual(mats) >= tol:

@@ -364,19 +364,21 @@ def ueb_from_manifest(obj: dict) -> PartitionedUeb:
         desc = obj["field"]
         if not isinstance(desc, dict) or field_from_manifest({**desc, "kind": "field"}).d != d:
             raise ManifestError(f"ueb manifest field 'field' must describe a field of order {d}")
-    entries = _entries(obj, "operators", d * d)
-    ops = np.empty((d, d, d, d), dtype=np.complex128)
-    seen = np.zeros((d, d), dtype=bool)
-    for k, entry in enumerate(entries):
+    mats = {}
+    for k, entry in enumerate(_entries(obj, "operators", d * d)):
         where = f"operators[{k}]"
         x, a = _field(entry, "x", where), _field(entry, "a", where)
         # a bool is an int to Python, and numpy reads a bool index as a mask
         if not all(type(i) is int and 0 <= i < d for i in (x, a)):
             raise ManifestError(f"{where} fields 'x', 'a' must be integers below {d}, got {x!r}, {a!r}")
-        ops[x, a] = _matrix(entry, where, d)
-        seen[x, a] = True
-    if not seen.all():
+        mats[x, a] = _matrix(entry, where, d)  # a view of the payload when the reader took it
+    if len(mats) < d * d:
         raise ManifestError("ueb manifest is missing operators")
+    # the table is filled once, in the dtype cplx.as_matrix would give it
+    real = all(map(cplx.imag_is_zero, mats.values()))
+    ops = np.empty((d, d, d, d), np.float64 if real else np.complex128)
+    for (x, a), m in mats.items():
+        ops[x, a] = m.real if real else m
     return PartitionedUeb(d, ops)
 
 

@@ -15,7 +15,8 @@ from .errors import NotPartitionedUeb, NotUnitary, ShapeMismatch, WrongFamilySiz
 class MubFamily:
     """d+1 orthonormal bases stored as one (d+1, d, d) array of unitary
     matrices whose columns are the basis states; a list of matrices is
-    accepted too.
+    accepted too. The bases are complex128 whatever their entries, like
+    every eigenbasis :func:`mubkit.cplx.simultaneous_eigenbasis` returns.
 
     ``bases[0]`` is the distinguished basis (label ``*``); in canonical form
     it is exactly the identity (the computational basis), but families
@@ -27,7 +28,7 @@ class MubFamily:
     bases: np.ndarray
 
     def __post_init__(self):
-        self.bases = cplx.as_matrix(self.bases, 3)
+        self.bases = cplx.as_matrix(self.bases, 3).astype(np.complex128, copy=False)
         if len(self.bases) != self.d + 1:
             raise WrongFamilySize(
                 f"expected {self.d + 1} bases for dimension {self.d}, got {len(self.bases)}"

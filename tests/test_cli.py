@@ -102,6 +102,12 @@ PINNED = {
                 "dbae7c5a5a78b9be3f6915e338cdb352827780f2e718fd89f1d6533f5642974a"),
     # psi of GF(5) holds the entry [-0, -1]: a writer that told floats apart
     # by value instead of bit pattern would write -0 and 0 alike
+    # real tables (float64 in memory) that the writer still writes as
+    # [re, 0] pairs
+    "ueb-gf8": (_construct(2, 3, "ueb"),
+                "cf0baf619bee453089557fb1999be15fb2e018e116f163274ce00ceafeed02e4"),
+    "chi-gf16": (_construct(2, 4, "chi"),
+                 "1fd2ee73362171805afcee216c493aab499c5ae03426d9e6bd615e8ce59006d8"),
     "psi-gf5": (_construct(5, 1, "psi"),
                 "d6f6c0c6cb92e2320dfc4af138cbb86a4462b158d02f7adf1e57a4cd1116ad31"),
     "psi-gf13": (_construct(13, 1, "psi"),
@@ -492,6 +498,23 @@ def test_theta_then_phi_round_trip(tmp_path):
     fam2 = mub_from_ueb(rebuilt, seed=0)
     for k in range(4):
         assert bases_match(fam2.bases[k], fam.bases[k], 1e-8)
+
+
+def test_construct_verify_theta_at_d32(tmp_path, capsys):
+    """GF(2^5) end to end: the table reads back as the float64 table it was
+    written from, verify passes its four laws, and theta gives the family
+    mub_from_ueb gives in memory."""
+    f = new_field(2, 5)
+    ueb = ueb_from_field(f)
+    assert run(["construct", "--p", 2, "--n", 5, "--emit", "ueb", "--out", tmp_path]) == 0
+    read = manifests.ueb_from_manifest(manifests.load_manifest(tmp_path / "ueb.json"))
+    assert read.ops.dtype == np.float64 and np.array_equal(read.ops, ueb.ops)
+    capsys.readouterr()
+    assert run(["verify", tmp_path / "ueb.json"]) == 0
+    assert [line.endswith(" PASS") for line in capsys.readouterr().out.splitlines()] == [True] * 4
+    assert run(["theta", tmp_path / "ueb.json", "--out", tmp_path / "mub.json"]) == 0
+    family = manifests.mub_from_manifest(manifests.load_manifest(tmp_path / "mub.json"))
+    assert np.array_equal(family.bases, mub_from_ueb(ueb).bases)
 
 
 def test_phi_rejects_non_hadamard_g(tmp_path, capsys):
