@@ -146,16 +146,18 @@ def phase_normalize(basis, tol: float = DEFAULT_TOL) -> np.ndarray:
     (lowest index on modulus ties within tol) is made real positive.
 
     Idempotent: renormalizing an already-normalized basis is the identity.
-    The result is complex128 whatever the input's dtype.
+    The result is complex128 whatever the input's dtype. A zero column is
+    left as it is. The pivot's modulus is ``hypot`` of its parts, which is
+    what a scalar ``abs`` returns; numpy's vectorized complex ``abs`` may
+    differ from it in the last bit.
     """
     w = as_matrix(basis).astype(np.complex128)
-    for k in range(w.shape[1]):
-        col = w[:, k]
-        mods = np.abs(col)
-        pivot = int(np.flatnonzero(mods >= mods.max() - tol)[0])
-        z = col[pivot]
-        if abs(z) > 0:
-            w[:, k] = col * (np.conj(z) / abs(z))
+    mods = np.abs(w)
+    pivot = np.argmax(mods >= mods.max(axis=0) - tol, axis=0)
+    z = w[pivot, np.arange(w.shape[1])]
+    r = np.hypot(z.real, z.imag)
+    live = r > 0
+    w[:, live] *= np.conj(z[live]) / r[live]
     return w
 
 

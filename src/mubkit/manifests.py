@@ -119,30 +119,40 @@ def _numbers(flat: bytes) -> np.ndarray:
     return floats
 
 
-def _pairs(text: bytes, tokens: dict) -> np.ndarray:
-    """The (r, c, 2) float64 array of a cut payload, filled a block of rows
-    at a time; _NotTaken if its brackets are not those of such an array or
-    ``json`` does not take its numbers.
+def _pairs(text: str, start: int, end: int, tokens: dict) -> np.ndarray:
+    """The (r, c, 2) float64 array of the payload cut at text[start:end],
+    filled a block of rows at a time; _NotTaken if its brackets are not
+    those of such an array or ``json`` does not take its numbers.
 
+    The payload is never copied whole: each block of rows is encoded and
+    checked on its own, so a 22 MB payload costs its array and one block.
     A block whose tokens are all in ``tokens`` is read from that table;
     any other block is parsed by ``json``, and its tokens are remembered
     while the table holds fewer than _BLOCK, so a file that repeats few
     tokens parses each about once and one that repeats none costs one
     ``json`` parse per entry, with the table's size bounded either way."""
-    skeleton = text.translate(None, b"0123456789+-.eE")
-    r = skeleton.count(b"]],[[") + 1
-    c = skeleton.count(b"[,]") // r
-    if c < 1 or skeleton != b"[" + b",".join([b"[" + b"[,]," * (c - 1) + b"[,]]"] * r) + b"]":
-        raise _NotTaken
+    start, end = start + 3, end - 3  # inside the "[[[" and "]]]" the pattern matched
+    r = text.count("]],[[", start, end) + 1
+    first_end = text.find("]],[[", start, end)
+    c = text.count("],[", start, end if first_end < 0 else first_end) + 1
+    row = b",],[" * (c - 1) + b","  # a row of c pairs without its numbers
     pairs = np.empty((r, c, 2))
-    rows, step = text.split(b"]],[["), max(1, _BLOCK // (2 * c))
-    rows[0] = rows[0][3:]  # drop "[[[" and, below, "]]]"; one row may be both
-    rows[-1] = rows[-1][:-3]
+    pos, step = start, max(1, _BLOCK // (2 * c))
     for i in range(0, r, step):
-        # With the skeleton right, a bracket survives these joins only where
-        # number text stands next to it outside a pair ("]5,[" or "]]e0,[["),
-        # and a number next to a bracket is text that ``json`` refuses.
-        flat = b",".join(rows[i:i + step]).replace(b"],[", b",")
+        k = min(step, r - i)
+        stop = end
+        if i + k < r:  # the block ends at the k-th row separator from pos
+            stop = pos - 5
+            for _ in range(k):
+                stop = text.find("]],[[", stop + 5, end)
+        raw = text[pos:stop].encode("ascii")
+        pos = stop + 5
+        if raw.translate(None, b"0123456789+-.eE") != b"]],[[".join([row] * k):
+            raise _NotTaken
+        # With the skeleton right, a bracket survives these replacements only
+        # where number text stands next to it outside a pair ("]5,[" or
+        # "]]e0,[["), and a number next to a bracket is text ``json`` refuses.
+        flat = raw.replace(b"]],[[", b",").replace(b"],[", b",")
         block = flat.split(b",")
         try:
             floats = np.fromiter(map(tokens.__getitem__, block), np.float64, len(block))
@@ -150,7 +160,7 @@ def _pairs(text: bytes, tokens: dict) -> np.ndarray:
             floats = _numbers(flat)
             if len(tokens) < _BLOCK:
                 tokens.update(zip(block, floats.tolist()))
-        pairs[i:i + step] = floats.reshape(-1, c, 2)
+        pairs[i:i + k] = floats.reshape(k, c, 2)
     return pairs
 
 
@@ -168,7 +178,7 @@ def _decode(text: str):
 
     def cut(m: re.Match) -> str:
         try:
-            taken.append(_pairs(m.group(1).encode("ascii"), tokens))
+            taken.append(_pairs(text, *m.span(1), tokens))
         except _NotTaken:
             return m.group(0)
         return '"matrix":NaN'

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cplx
-from .errors import NotPartitionedUeb, NotUnitary, ShapeMismatch, WrongFamilySize
+from .errors import NotUnitary, ShapeMismatch, WrongFamilySize
 
 
 @dataclass
@@ -105,28 +105,18 @@ def mub_from_ueb(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0) -> MubFamily
     """Maximal MUB family of common eigenbases of a partitioned UEB's
     commuting classes.
 
-    The input must pass :func:`~mubkit.construct.is_partitioned_ueb`, which
-    is where class commutation is checked. The distinguished basis comes
-    from the class stored at shift positions (plus the identity); when that
-    class is already diagonal the family is in canonical form and the
-    identity is returned exactly, avoiding spurious phase churn. Basis x is
-    the common eigenbasis of class x. Each per-class diagonalization is
-    seeded independently for reproducibility.
+    ``ueb`` is a :class:`~mubkit.construct.PartitionedUeb` or anything its
+    constructor accepts, and must pass the partitioned UEB laws, else
+    :class:`NotPartitionedUeb` is raised.
+    :func:`~mubkit.construct.certified_eigenbases` checks them: the UEB
+    laws directly, class commutation from the eigenbases below (the
+    pairwise sweep runs only when that certificate falls short). The
+    distinguished basis comes from the class stored at shift positions
+    (plus the identity); when that class is already diagonal the family is
+    in canonical form and the identity is returned exactly, avoiding
+    spurious phase churn. Basis x is the common eigenbasis of class x. Each
+    per-class diagonalization is seeded independently for reproducibility.
     """
-    from .construct import is_partitioned_ueb  # local import: module cycle
+    from .construct import certified_eigenbases  # local import: module cycle
 
-    if not is_partitioned_ueb(ueb, tol):
-        raise NotPartitionedUeb("input fails the partitioned UEB laws")
-    d = ueb.d
-    eye = cplx.identity(d)
-
-    star_class = ueb.class_star()
-    if cplx.offdiag_residual(star_class) < tol:
-        star_basis = eye
-    else:
-        star_basis = cplx.simultaneous_eigenbasis([*star_class, eye], tol, seed)
-
-    bases = [star_basis]
-    for x in range(d):
-        bases.append(cplx.simultaneous_eigenbasis(ueb.class_ops(x), tol, seed + 1 + x))
-    return MubFamily(d, bases)
+    return certified_eigenbases(ueb, tol, seed)[0]

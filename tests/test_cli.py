@@ -352,6 +352,16 @@ def test_mutated_compact_payloads_read_as_json_reads_them():
     inserted, deleted or replaced read exactly as ``json.loads`` +
     ``matrix_from_json`` read them, whether the reader takes them or not;
     unmutated, each is taken unless it holds an integer outside int64."""
+    _check_mutated_payloads()
+
+
+def test_mutated_payloads_read_one_row_per_block(monkeypatch):
+    """The same with ``_BLOCK`` = 2, so every row is a block of its own."""
+    monkeypatch.setattr(manifests, "_BLOCK", 2)
+    _check_mutated_payloads()
+
+
+def _check_mutated_payloads():
     rng = random.Random(0)
     huge = "12345678901234567890"
     tokens = ["0", "-0", "1", "-1", "0.5", "1e3", "-2.5E-3", huge]
