@@ -43,6 +43,13 @@ def _tolerance(text):
     return tol
 
 
+def _seed(text):
+    """``--seed``: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _poly(text):
     """``--poly``: comma-separated integer coefficients, low degree first."""
     try:
@@ -149,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--tol", type=_tolerance, default=cplx.DEFAULT_TOL)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("construct", help="build field objects and write manifests")
     p.add_argument("--p", type=int, required=True)

@@ -203,8 +203,7 @@ def ueb_from_mub(family: MubFamily, controlled: ControlledHadamard, g,
         bx = family.basis(x)
         hx = controlled.member(x)
         ops[x, 0] = (star * g[:, x]) @ star.conj().T
-        for a in range(1, d):
-            ops[x, a] = (bx * hx[:, a]) @ bx.conj().T
+        ops[x, 1:] = (bx * hx[:, 1:].T[:, None, :]) @ bx.conj().T
     return PartitionedUeb(d, ops)
 
 
@@ -215,16 +214,20 @@ def eigendata(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0):
     G[j][x] is the j-th diagonal entry of U_{x,0}, H^x[j][a] the eigenvalue
     of U_{x,a} on basis-x column j (with a convention column of ones at
     a = 0). Feeding the result back into :func:`ueb_from_mub` reproduces
-    the table entrywise, since this is its spectral decomposition. H is
-    the class eigenvalue tables :func:`certified_eigenbases` returns.
+    the table entrywise, since this is its spectral decomposition. The
+    family is :func:`mubkit.mub.mub_from_ueb`'s.
     """
     ueb = _as_ueb(ueb)
-    family, tables = certified_eigenbases(ueb, tol, seed)  # raises NotPartitionedUeb
+    family = _mub_family(ueb, tol, seed)  # raises NotPartitionedUeb
     if cplx.offdiag_residual(ueb.class_star()) >= tol:
         raise NotCanonicalForm("distinguished class is not diagonal")
     d = ueb.d
+    h = np.ones((d, d, d), dtype=np.complex128)
+    for x in range(d):
+        b = family.basis(x)
+        h[x, :, 1:] = np.diagonal(b.conj().T @ ueb.class_ops(x) @ b, axis1=1, axis2=2).T
     g = np.diagonal(ueb.ops[:, 0], axis1=1, axis2=2).T.copy()
-    return family, ControlledHadamard(d, tables[1:]), Hadamard(d, g)
+    return family, ControlledHadamard(d, h), Hadamard(d, g)
 
 
 def conjugate_ueb(ueb: PartitionedUeb, w, tol: float = cplx.DEFAULT_TOL) -> PartitionedUeb:
@@ -287,109 +290,30 @@ def partition_residuals(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL) -> l
     ]
 
 
-def _require_commuting(ueb: PartitionedUeb, tol: float) -> None:
-    """The reference partition laws, raising :class:`NotPartitionedUeb`
-    when one fails."""
-    if not all(r["pass"] for r in partition_residuals(ueb, tol)):
-        raise NotPartitionedUeb("input fails the partitioned UEB laws")
-
-
-def _fro(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a (k, d, d) stack, one ``vdot``
-    each, so no temporary is as large as the stack."""
-    return np.sqrt([np.vdot(a, a).real for a in stack])
-
-
-def _certify_class(w: np.ndarray, ops: np.ndarray, table: np.ndarray) -> float:
-    """The commutator bound of :func:`certified_eigenbases` for one class
-    with eigenbasis ``w`` (0.0 below two members); writes the diagonal of
-    W† U_i W into column i + 1 of the eigenvalue ``table``."""
-    d = w.shape[0]
-    u = np.finfo(np.float64).eps / 2
-    gamma = 2 * (d + 2) * u
-    m = w.conj().T @ ops @ w
-    spectra = table[:, 1:]
-    spectra[:] = np.diagonal(m, axis1=1, axis2=2).T
-    if len(ops) < 2:
-        return 0.0
-    m[:, range(d), range(d)] = 0.0
-    w_fro2 = float(np.vdot(w, w).real)
-    f = _fro(m) + (2 * gamma + gamma**2) * w_fro2 * _fro(ops)
-    gram = w.conj().T @ w
-    gram[range(d), range(d)] -= 1.0
-    delta = float(np.sqrt(np.vdot(gram, gram).real)) + gamma * w_fro2
-    if delta >= 0.5:
-        return np.inf
-    f2, f1 = sorted(f)[-2:]
-    lam = cplx.max_abs(spectra)
-    a1, a2 = lam + f1, lam + f2
-    exact = (2 * lam * (f1 + f2) + 2 * f1 * f2 + 2 * a1 * a2 * delta / (1 - delta)) / (1 - delta)
-    swept = (1 + 4 * u) * (exact + 2 * gamma * a1 * a2 / (1 - delta) ** 2)
-    return float(swept * (1 + 8 * d * d * u))
-
-
-def certified_eigenbases(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0) -> tuple:
-    """The partitioned UEB laws and θ's diagonalization in one pass.
-
-    Returns (family, tables): the family :func:`mubkit.mub.mub_from_ueb`
-    describes, and one eigenvalue table per class (k = 0 the distinguished
-    class, k = x + 1 row x): tables[k, j, i + 1] = (W_k† U_i W_k)_jj for
-    member i of the class and W_k the basis of ``family`` for it, and
-    tables[k, :, 0] = 1 for the identity. Row x's table is H^x of
-    :func:`eigendata`.
-
-    1. The UEB laws (:func:`ueb_residuals`) and the identity slot.
-    2. The d+1 classes are diagonalized, with seed ``seed`` for the
-       distinguished class and ``seed + 1 + x`` for class x.
-    3. Class commutation is certified from the products M_i = fl(W† U_i W)
-       of step 2's bases instead of swept pairwise (O(d^6)). With
-       u = 2^-53, gamma = 2(d+2)u and, per class,
-         Lambda = max |(M_i)_jj|,
-         f_i = ||M_i - diag(M_i)||_F + (2 gamma + gamma^2) ||W||_F^2 ||U_i||_F,
-         delta = ||fl(W† W) - I||_F + gamma ||W||_F^2 < 1/2,
-       every pair i != j of the class satisfies
-         ||U_i U_j - U_j U_i||_F
-           <= [2 Lambda (f_i + f_j) + 2 f_i f_j
-               + 2 (Lambda + f_i)(Lambda + f_j) delta / (1 - delta)] / (1 - delta).
-       Why: W† U_i W = D_i + F_i with D_i = diag(M_i) and ||F_i||_F <= f_i
-       (the second term of f_i bounds the rounding of M_i); diagonals
-       commute, so [W† U_i W, W† U_j W] = [D_i, F_j] + [F_i, D_j] + [F_i, F_j];
-       and U_i = W^-† (W† U_i W) W^-1 with (W† W)^-1 = I + Δ',
-       ||Δ'|| <= delta / (1 - delta) and ||W^-1||^2 <= 1 / (1 - delta).
-       The bound adds 2 gamma (Lambda + f_i)(Lambda + f_j) / (1 - delta)^2
-       for the rounding of the products in :func:`partition_residuals`,
-       takes the two largest f_i of each class, and is raised by the
-       factor (1 + 4u)(1 + 8 d^2 u) for the rounding of its own
-       evaluation, so it is at least the residual the sweep would report.
-    4. When the largest class bound is below ``tol`` the sweep is skipped.
-    5. Otherwise, or when a diagonalization raises, the sweep decides: if
-       it fails, :class:`NotPartitionedUeb` is raised; if it passes, the
-       result is returned or the diagonalization's error re-raised.
-
-    So the verdict and the exception are those of running
-    :func:`is_partitioned_ueb` first. :func:`partition_residuals` stays the
-    reference, and what ``verify`` reports.
-    """
+def _mub_family(ueb, tol: float, seed: int) -> MubFamily:
+    """The body of :func:`mubkit.mub.mub_from_ueb`, which :func:`eigendata`
+    calls too. When a class's diagonalization or certificate raises, the
+    reference sweep of every class (:func:`partition_residuals`) decides
+    between :class:`NotPartitionedUeb` and re-raising, so θ raises as if
+    :func:`is_partitioned_ueb` had been checked first."""
     ueb = _as_ueb(ueb)
     if not all(r["pass"] for r in ueb_residuals(ueb, tol) + [_identity_slot(ueb, tol)]):
         raise NotPartitionedUeb("input fails the partitioned UEB laws")
     d = ueb.d
-    classes = [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]
+    star = ueb.class_star()
+    eye = cplx.identity(d)
     try:
-        eye = cplx.identity(d)
-        if cplx.offdiag_residual(classes[0]) < tol:
-            star = eye
+        if cplx.offdiag_residual(star) < tol:
+            cplx.require_commuting(star, cplx.commutator_bound(star, eye, star), tol)
+            first = eye
         else:
-            star = cplx.simultaneous_eigenbasis([*classes[0], eye], tol, seed)
-        family = MubFamily(d, [star] + [cplx.simultaneous_eigenbasis(ops, tol, seed + 1 + x)
-                                        for x, ops in enumerate(classes[1:])])
+            first = cplx.simultaneous_eigenbasis([*star, eye], tol, seed)
+        return MubFamily(d, [first] + [cplx.simultaneous_eigenbasis(ueb.class_ops(x), tol, seed + 1 + x)
+                                       for x in range(d)])
     except (MubkitError, np.linalg.LinAlgError):
-        _require_commuting(ueb, tol)
+        if not all(r["pass"] for r in partition_residuals(ueb, tol)):
+            raise NotPartitionedUeb("input fails the partitioned UEB laws")
         raise
-    tables = np.ones((d + 1, d, d), dtype=np.complex128)
-    if max(map(_certify_class, family.bases, classes, tables)) >= tol:
-        _require_commuting(ueb, tol)
-    return family, tables
 
 
 def is_ueb(table, tol: float = cplx.DEFAULT_TOL) -> bool:

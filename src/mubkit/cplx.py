@@ -11,7 +11,8 @@ The module supplies the three matrix laws as batched residuals over
 (k, d, d) stacks (unitarity, pairwise commutators, off-diagonal residue),
 which every law check calls; the residual entry every law check reports; a
 Hermitian eigensolver (LAPACK ``eigh``); and simultaneous diagonalization
-of commuting unitary families via a seeded random Hermitian combination.
+of commuting unitary families via a seeded random Hermitian combination,
+which certifies that the family commutes (:func:`commutator_bound`).
 """
 
 from __future__ import annotations
@@ -106,10 +107,74 @@ def commutator_residual(stack) -> tuple:
     return worst, pair
 
 
-def offdiag_residual(stack, w=None) -> float:
-    """Largest off-diagonal entry of W†UW over a (k, d, d) stack (of U
-    itself when ``w`` is None); 0.0 when empty."""
-    mods = np.abs(stack if w is None else w.conj().T @ np.asarray(stack) @ w)
+def _fro(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a (k, d, d) stack, one ``vdot``
+    each, so no temporary is as large as the stack."""
+    return np.sqrt([np.vdot(a, a).real for a in stack])
+
+
+def commutator_bound(m, w, stack) -> float:
+    """An upper bound on ||U_i U_j - U_j U_i||_F over the pairs of the
+    (k, d, d) ``stack``, hence on :func:`commutator_residual`, read off
+    M_i = fl(W† U_i W) in ``m`` for any W with delta < 1/2 below (inf
+    otherwise); 0.0 below two members.
+
+    With u = 2^-53, gamma = 2(d+2)u and
+      Lambda = max |(M_i)_jj|,
+      f_i = ||M_i - diag(M_i)||_F + (2 gamma + gamma^2) ||W||_F^2 ||U_i||_F,
+      delta = ||fl(W† W) - I||_F + gamma ||W||_F^2 < 1/2,
+    every pair i != j satisfies
+      ||U_i U_j - U_j U_i||_F
+        <= [2 Lambda (f_i + f_j) + 2 f_i f_j
+            + 2 (Lambda + f_i)(Lambda + f_j) delta / (1 - delta)] / (1 - delta).
+    Why: W† U_i W = D_i + F_i with D_i = diag(M_i) and ||F_i||_F <= f_i
+    (the second term of f_i bounds the rounding of M_i); diagonals
+    commute, so [W† U_i W, W† U_j W] = [D_i, F_j] + [F_i, D_j] + [F_i, F_j];
+    and U_i = W^-† (W† U_i W) W^-1 with (W† W)^-1 = I + Δ',
+    ||Δ'|| <= delta / (1 - delta) and ||W^-1||^2 <= 1 / (1 - delta).
+    The bound adds 2 gamma (Lambda + f_i)(Lambda + f_j) / (1 - delta)^2
+    for the rounding of the products in :func:`commutator_residual`, takes
+    the two largest f_i, and is raised by the factor (1 + 4u)(1 + 8 d^2 u)
+    for the rounding of its own evaluation, so it is at least the residual
+    the sweep would report.
+    """
+    if len(stack) < 2:
+        return 0.0
+    d = w.shape[0]
+    u = np.finfo(np.float64).eps / 2
+    gamma = 2 * (d + 2) * u
+    lam = max_abs(np.diagonal(m, axis1=1, axis2=2))
+    off = np.array(m)
+    off[:, range(d), range(d)] = 0.0
+    w_fro2 = float(np.vdot(w, w).real)
+    f = _fro(off) + (2 * gamma + gamma**2) * w_fro2 * _fro(stack)
+    gram = w.conj().T @ w
+    gram[range(d), range(d)] -= 1.0
+    delta = float(np.sqrt(np.vdot(gram, gram).real)) + gamma * w_fro2
+    if delta >= 0.5:
+        return np.inf
+    f2, f1 = sorted(f)[-2:]
+    a1, a2 = lam + f1, lam + f2
+    exact = (2 * lam * (f1 + f2) + 2 * f1 * f2 + 2 * a1 * a2 * delta / (1 - delta)) / (1 - delta)
+    swept = (1 + 4 * u) * (exact + 2 * gamma * a1 * a2 / (1 - delta) ** 2)
+    return float(swept * (1 + 8 * d * d * u))
+
+
+def require_commuting(stack, bound: float, tol: float) -> None:
+    """Raise :class:`NotCommuting` naming the worst pair of the (k, d, d)
+    ``stack`` unless ``bound`` (:func:`commutator_bound`) or, when it is
+    not, the sweep :func:`commutator_residual` is below ``tol``."""
+    if bound < tol:
+        return
+    worst, pair = commutator_residual(stack)
+    if worst >= tol:
+        raise NotCommuting(f"family members {pair[0]} and {pair[1]} do not commute "
+                           f"(residual {worst:.3g})")
+
+
+def offdiag_residual(stack) -> float:
+    """Largest off-diagonal entry over a (k, d, d) stack; 0.0 when empty."""
+    mods = np.abs(stack)
     d = mods.shape[-1]
     mods[..., range(d), range(d)] = 0.0
     return max_abs(mods)
@@ -166,11 +231,14 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
 
     Draws seeded random real coefficients c_k, r_k and diagonalizes the
     Hermitian combination sum_k c_k (U_k + U_k†)/2 + r_k (U_k - U_k†)/(2i).
-    W is returned only when every member is diagonal in it within ``tol``
-    (:func:`offdiag_residual`), a certificate that implies commutation.
-    A draw that hits a degeneracy is redrawn, up to 8 attempts. When all
-    fail, :class:`NotCommuting` names the worst non-commuting pair, or else
-    :class:`DegenerateFamily` signals a genuinely shared eigenspace.
+    A draw is accepted when every member is diagonal within ``tol`` in its
+    eigenvectors W (:func:`offdiag_residual` of M = W† U W), and the same M
+    certifies that the family commutes (:func:`commutator_bound`); only when
+    that bound is not below ``tol`` is this family swept pairwise. A draw
+    that hits a degeneracy is redrawn, up to 8 attempts. A family that
+    fails the sweep raises :class:`NotCommuting` naming the worst pair; when
+    every draw fails on a commuting one, :class:`DegenerateFamily` signals
+    a genuinely shared eigenspace.
 
     Columns are ordered by ascending eigenvalue of the combination and
     phase-normalized via :func:`phase_normalize`. The combination is
@@ -192,12 +260,11 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
         for k in range(len(mats)):
             a += c[k] * herm[k] + r[k] * skew[k]
         w = eig_hermitian(a, HERMITIAN_TOL).vectors
-        if offdiag_residual(mats, w) < tol:
+        m = w.conj().T @ mats @ w
+        if offdiag_residual(m) < tol:
+            require_commuting(mats, commutator_bound(m, w, mats), tol)
             return phase_normalize(w, tol)
-    worst, pair = commutator_residual(mats)
-    if worst >= tol:
-        raise NotCommuting(f"family members {pair[0]} and {pair[1]} do not commute "
-                           f"(residual {worst:.3g})")
+    require_commuting(mats, np.inf, tol)
     raise DegenerateFamily(
         f"no random combination separated the joint eigenspaces in {SIMDIAG_RETRIES} attempts"
     )

@@ -394,7 +394,8 @@ def ueb_from_manifest(obj: dict) -> PartitionedUeb:
 
 def report_from_manifest(obj: dict, tol: float) -> list:
     """Result entries of a report, each judged afresh by ``residual < tol``;
-    the stored ``pass`` flags are not trusted."""
+    the stored ``pass`` flags are not trusted. A residual that is negative
+    or not finite would pass or fail at every ``tol`` and is refused."""
     _expect(obj, "report")
     results = _field(obj, "results", "report manifest")
     if not isinstance(results, list) or not results:
@@ -403,8 +404,8 @@ def report_from_manifest(obj: dict, tol: float) -> list:
     for k, r in enumerate(results):
         equation = _field(r, "equation", f"results[{k}]")
         residual = _field(r, "residual", f"results[{k}]")
-        if isinstance(residual, bool) or not isinstance(residual, (int, float)) or (
-                isinstance(residual, int) and abs(residual) > sys.float_info.max):
-            raise ManifestError(f"results[{k}].residual must be a number, got {residual!r}")
+        if isinstance(residual, bool) or not isinstance(residual, (int, float)) or not (
+                0 <= residual <= sys.float_info.max):
+            raise ManifestError(f"results[{k}].residual must be a finite number >= 0, got {residual!r}")
         out.append(cplx.residual_entry(str(equation), residual, tol))
     return out

@@ -107,16 +107,17 @@ def mub_from_ueb(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0) -> MubFamily
 
     ``ueb`` is a :class:`~mubkit.construct.PartitionedUeb` or anything its
     constructor accepts, and must pass the partitioned UEB laws, else
-    :class:`NotPartitionedUeb` is raised.
-    :func:`~mubkit.construct.certified_eigenbases` checks them: the UEB
-    laws directly, class commutation from the eigenbases below (the
-    pairwise sweep runs only when that certificate falls short). The
-    distinguished basis comes from the class stored at shift positions
-    (plus the identity); when that class is already diagonal the family is
-    in canonical form and the identity is returned exactly, avoiding
-    spurious phase churn. Basis x is the common eigenbasis of class x. Each
-    per-class diagonalization is seeded independently for reproducibility.
+    :class:`NotPartitionedUeb` is raised. The UEB laws are checked directly;
+    each class's commutation is certified by its own diagonalization
+    (:func:`mubkit.cplx.simultaneous_eigenbasis`), which sweeps that class
+    pairwise only when its certificate falls short. The distinguished basis
+    comes from the class stored at shift positions (plus the identity);
+    when that class is already diagonal the family is in canonical form and
+    the identity is returned exactly, avoiding spurious phase churn, and the
+    class gets the same certificate with W = I. Basis
+    x is the common eigenbasis of class x. Each per-class diagonalization
+    is seeded independently for reproducibility.
     """
-    from .construct import certified_eigenbases  # local import: module cycle
+    from .construct import _mub_family  # local import: module cycle
 
-    return certified_eigenbases(ueb, tol, seed)[0]
+    return _mub_family(ueb, tol, seed)

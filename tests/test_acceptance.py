@@ -206,3 +206,11 @@ def test_acceptance_9_cli_determinism(tmp_path):
         ok = ok and (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         ok = ok and main(["verify", str(tmp_path / "a" / name)]) == 0
     report(9, "construct is byte-deterministic and verify(construct(.)) exits 0", ok)
+
+
+def test_every_exported_name_resolves_once():
+    """``mubkit.__all__`` names each public object once, and every name is
+    an attribute of the package, so a deleted function cannot linger there."""
+    assert len(mk.__all__) == len(set(mk.__all__))
+    missing = [name for name in mk.__all__ if not hasattr(mk, name)]
+    assert missing == []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import time
@@ -270,6 +271,11 @@ MALFORMED = {
     "report-huge-residual": (
         {"kind": "report", "results": [{"equation": "e", "residual": 10**400}]}, 2,
         "results[0].residual"),
+    # a negative or NaN residual would pass or fail every tolerance
+    **{f"report-{name}-residual": (
+        {"kind": "report", "results": [{"equation": "e", "residual": value}]}, 2,
+        "results[0].residual must be a finite number >= 0")
+       for name, value in [("minus-infinity", -math.inf), ("negative", -1), ("nan", math.nan)]},
     "mub-list-label": (
         {"kind": "mub", "dimension": 1,
          "bases": [{"label": ["*"], "matrix": ONE}, {"label": "0", "matrix": ONE}]},
@@ -612,6 +618,18 @@ def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys, command):
         run([command, *args, "--seed", 1])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-5", "-1", "1.5"])
+@pytest.mark.parametrize("command", ["construct", "theta"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    args = ["--p", 2, "--n", 2, "--emit", "mub", "--out", tmp_path] if command == "construct" else [
+        tmp_path / "ueb.json", "--out", tmp_path / "mub.json"]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -229,6 +229,32 @@ def test_eigendata_round_trip_gf3():
             assert max_abs(rebuilt.op(x, a) - canonical.op(x, a)) < 1e-10
 
 
+def ueb_from_mub_by_operator(family, controlled, g):
+    """The per-operator loop that builds the classes in ueb_from_mub."""
+    d = family.d
+    star = family.basis("*")
+    ops = np.empty((d, d, d, d), dtype=np.complex128)
+    for x in range(d):
+        bx, hx = family.basis(x), controlled.member(x)
+        ops[x, 0] = (star * g.matrix[:, x]) @ star.conj().T
+        for a in range(1, d):
+            ops[x, a] = (bx * hx[:, a]) @ bx.conj().T
+    return PartitionedUeb(d, ops)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2),
+                                 (3, 3), (5, 1), (5, 2), (7, 1)])
+def test_ueb_from_mub_is_the_per_operator_loop(p, n):
+    f = new_field(p, n)
+    chi = additive_character_matrix(f).matrix
+    fam, controlled, g = eigendata(conjugate_ueb(ueb_from_field(f), chi / np.sqrt(f.d)), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DephasingWarning)
+        got = ueb_from_mub(fam, controlled, g)
+    want = ueb_from_mub_by_operator(fam, controlled, g)
+    assert got.ops.dtype == want.ops.dtype and np.array_equal(got.ops, want.ops)
+
+
 def test_eigendata_d2_diagonal_readoff():
     table = PartitionedUeb(2, [[I2, X], [Z, Y]])
     # C_* = {Z} diagonal, C_0 = {X}, C_1 = {Y}

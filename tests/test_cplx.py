@@ -115,8 +115,8 @@ def test_offdiag_residual_matches_per_matrix_reference():
     w = cplx.simultaneous_eigenbasis(np.delete(stack, 2, axis=0))
     reference = max(cplx.max_abs(c - np.diag(np.diag(c)))
                     for c in (w.conj().T @ u @ w for u in stack))
-    assert cplx.offdiag_residual(stack, w) == reference > 1e-3
-    assert cplx.offdiag_residual(np.delete(stack, 2, axis=0), w) < 1e-9
+    assert cplx.offdiag_residual(w.conj().T @ stack @ w) == reference > 1e-3
+    assert cplx.offdiag_residual(w.conj().T @ np.delete(stack, 2, axis=0) @ w) < 1e-9
     assert cplx.offdiag_residual([Z, np.diag([1j, 1.0])]) == 0.0
     assert cplx.offdiag_residual([Z, X]) == 1.0
     assert cplx.offdiag_residual(np.zeros((0, 2, 2))) == 0.0

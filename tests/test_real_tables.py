@@ -136,7 +136,8 @@ def law_reports(ops, chi):
         "unitarity_residual": cplx.unitarity_residual(ueb.flat()),
         "commutator_residual": [cplx.commutator_residual(c) for c in classes],
         "offdiag_residual": [cplx.offdiag_residual(c) for c in classes],
-        "offdiag_residual(w)": cplx.offdiag_residual(ueb.flat(), ueb.op(1 % d, 0)),
+        "offdiag_residual(w)": cplx.offdiag_residual(
+            ueb.op(1 % d, 0).conj().T @ ueb.flat() @ ueb.op(1 % d, 0)),
         "is_unitary": cplx.is_unitary(ueb.op(d - 1, d - 1)),
         "hadamard": hadamard_residuals(Hadamard(d, chi)),
         "hadamard stack": hadamard_residuals(ueb.flat() * np.sqrt(d)),

@@ -1,8 +1,8 @@
-"""θ certifies class commutation from the eigenbases it computes
-(``construct.certified_eigenbases``) and runs the pairwise sweep of
-``partition_residuals`` only when that certificate falls short. The
-reference laws (``is_partitioned_ueb``, ``cplx.commutator_residual``) are
-the oracle throughout."""
+"""θ certifies class commutation from the eigenbases it computes: each
+``cplx.simultaneous_eigenbasis`` call bounds its family's commutators
+(``cplx.commutator_bound``) and sweeps that family pairwise only when the
+bound falls short. The reference laws (``is_partitioned_ueb``,
+``cplx.commutator_residual``) are the oracle throughout."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from mubkit import construct, cplx
 from mubkit.characters import additive_character_matrix
 from mubkit.construct import (
     PartitionedUeb,
-    certified_eigenbases,
     conjugate_ueb,
     eigendata,
     is_partitioned_ueb,
@@ -63,8 +62,7 @@ def recipe(ueb, tol=cplx.DEFAULT_TOL, seed=0):
 
 def certify(w, members):
     """The certificate's bound for one class in eigenbasis w."""
-    d = w.shape[0]
-    return construct._certify_class(w, members, np.ones((d, d), np.complex128))
+    return cplx.commutator_bound(w.conj().T @ members @ w, w, members)
 
 
 def verdict(ueb, seed):
@@ -178,17 +176,70 @@ def test_bound_above_tol_runs_the_sweep(monkeypatch):
     ueb = table(9, "haar")
     want = mub_from_ueb(ueb, seed=2).bases
     swept = []
-    real_certify, real_partition = construct._certify_class, construct.partition_residuals
-    monkeypatch.setattr(construct, "_certify_class",
-                        lambda w, ops, table: real_certify(w, ops, table) + np.inf)
-    monkeypatch.setattr(construct, "partition_residuals",
-                        lambda u, tol: swept.append(u) or real_partition(u, tol))
+    real_bound, real_sweep = cplx.commutator_bound, cplx.commutator_residual
+    monkeypatch.setattr(cplx, "commutator_bound", lambda m, w, stack: np.inf if np.array_equal(
+        stack, ueb.class_ops(2)) else real_bound(m, w, stack))
+    monkeypatch.setattr(cplx, "commutator_residual",
+                        lambda stack: swept.append(stack) or real_sweep(stack))
     assert np.array_equal(mub_from_ueb(ueb, seed=2).bases, want)
-    assert len(swept) == 1
-    failing = cplx.residual_entry("ueb_class_commutators", 1.0, cplx.DEFAULT_TOL)
-    monkeypatch.setattr(construct, "partition_residuals", lambda u, tol: [failing])
+    assert len(swept) == 1 and np.array_equal(swept[0], ueb.class_ops(2))
+    monkeypatch.setattr(cplx, "commutator_residual", lambda stack: (1.0, (0, 1)))
     with pytest.raises(NotPartitionedUeb):
         mub_from_ueb(ueb, seed=2)
+
+
+def near_diagonal_stack(d, k, eps, rng):
+    """k diagonal unitaries, each plus eps times a random Hermitian."""
+    diag = np.exp(2j * np.pi * rng.random((k, d)))
+    return np.stack([np.diag(v) + eps * random_hermitian(d, rng) for v in diag])
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_bound_with_w_identity_holds_on_near_diagonal_stacks(d):
+    """The distinguished class of a canonical table keeps W = I; the bound
+    read off the stack itself covers the sweep there too."""
+    rng = np.random.default_rng(d)
+    eye = np.eye(d, dtype=np.complex128)
+    for eps in (0.0, 1e-13, 1e-11, 1e-9, 1e-6, 1e-2):
+        stack = near_diagonal_stack(d, 4, eps, rng)
+        assert cplx.commutator_residual(stack)[0] <= cplx.commutator_bound(stack, eye, stack)
+
+
+def test_diagonal_distinguished_class_is_certified_with_w_identity(monkeypatch):
+    """A canonical table's distinguished class is not diagonalized; the
+    bound with W = I certifies it, and one that falls short sweeps it."""
+    ueb = table(8, "canonical")
+    bounds, swept = [], []
+    real_bound, real_sweep = cplx.commutator_bound, cplx.commutator_residual
+    monkeypatch.setattr(cplx, "commutator_bound",
+                        lambda m, w, stack: bounds.append((m, w)) or np.inf)
+    monkeypatch.setattr(cplx, "commutator_residual",
+                        lambda stack: swept.append(stack) or real_sweep(stack))
+    family = mub_from_ueb(ueb, seed=0)
+    assert np.array_equal(family.basis("*"), np.eye(8))
+    m, w = bounds[0]
+    assert np.array_equal(w, np.eye(8)) and np.array_equal(m, ueb.class_star())
+    assert real_bound(m, w, m) < cplx.DEFAULT_TOL
+    assert len(bounds) == len(swept) == 9 and np.array_equal(swept[0], ueb.class_star())
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("eps", [1e-10, 3e-10, 6e-10, 1e-9])
+def test_simultaneous_eigenbasis_refuses_what_the_sweep_refuses(seed, eps):
+    """A diagonal unitary and one conjugated by exp(i eps H): near eps =
+    6e-10 its members are diagonal within tol in an eigenbasis of the
+    combination while their commutator is above tol (2.1e-9 at seed 2),
+    and the family is refused exactly when the sweep refuses it."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = (np.diag(np.exp(2j * np.pi * rng.random(4))) for _ in range(2))
+    vals, vecs = np.linalg.eigh(random_hermitian(4, rng))
+    v = (vecs * np.exp(1j * eps * vals)) @ vecs.conj().T
+    family = np.stack([d1, v @ d2 @ v.conj().T])
+    if cplx.commutator_residual(family)[0] < cplx.DEFAULT_TOL:
+        cplx.simultaneous_eigenbasis(family)
+    else:
+        with pytest.raises(NotCommuting, match="members 0 and 1"):
+            cplx.simultaneous_eigenbasis(family)
 
 
 @pytest.mark.parametrize("kind", ["canonical", "haar"])
@@ -219,17 +270,15 @@ def test_bases_are_the_per_class_recipe(d, kind):
 
 @pytest.mark.parametrize("d", [4, 8, 9, 16])
 def test_eigenvalue_tables_are_the_class_products(d):
-    """eigendata's H is the certificate's eigenvalue tables: the diagonals
-    of W_x† U_x W_x formed from the family's bases, as eigendata formed
-    them before, and a column of ones for the identity."""
+    """eigendata's H is the diagonals of W_x† U_x W_x formed from θ's
+    bases, and a column of ones for the identity."""
     ueb = table(d, "canonical")
-    family, tables = certified_eigenbases(ueb, seed=3)
-    _, h, _ = eigendata(ueb, seed=3)
+    family, h, _ = eigendata(ueb, seed=3)
+    assert np.array_equal(family.bases, mub_from_ueb(ueb, seed=3).bases)
     for x in range(d):
         b = family.basis(x)
         want = np.ones((d, d), np.complex128)
         want[:, 1:] = np.diagonal(b.conj().T @ ueb.class_ops(x) @ b, axis1=1, axis2=2).T
-        assert np.array_equal(tables[x + 1], want)
         assert np.array_equal(h.member(x), want)
 
 
