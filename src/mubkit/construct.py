@@ -301,15 +301,17 @@ def _mub_family(ueb, tol: float, seed: int) -> MubFamily:
         raise NotPartitionedUeb("input fails the partitioned UEB laws")
     d = ueb.d
     star = ueb.class_star()
-    eye = cplx.identity(d)
+    eye = np.eye(d, dtype=np.complex128)
     try:
         if cplx.offdiag_residual(star) < tol:
             cplx.require_commuting(star, cplx.commutator_bound(star, eye, star), tol)
             first = eye
         else:
             first = cplx.simultaneous_eigenbasis([*star, eye], tol, seed)
-        return MubFamily(d, [first] + [cplx.simultaneous_eigenbasis(ueb.class_ops(x), tol, seed + 1 + x)
-                                       for x in range(d)])
+        # at d = 1 the one class has no members, so any basis is theirs
+        classes = [ueb.class_ops(x) for x in range(d)]
+        return MubFamily(d, [first] + [cplx.simultaneous_eigenbasis(ops, tol, seed + 1 + x) if len(ops) else eye
+                                       for x, ops in enumerate(classes)])
     except (MubkitError, np.linalg.LinAlgError):
         if not all(r["pass"] for r in partition_residuals(ueb, tol)):
             raise NotPartitionedUeb("input fails the partitioned UEB laws")

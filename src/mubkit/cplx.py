@@ -65,10 +65,6 @@ def as_matrix(a, ndim: int = 2) -> np.ndarray:
     return m
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=np.complex128)
-
-
 def max_abs(a) -> float:
     """Largest modulus of an entry; 0.0 when empty. A float array is read
     twice in place instead of through an array of moduli as large as it."""

@@ -5,8 +5,11 @@ Element index i in 0..d-1 encodes the polynomial sum_k c_k x^k where
 Index 0 is the additive identity and index 1 the multiplicative identity.
 Every other module indexes field elements this way.
 
-Multiplication is served from log/antilog tables built over a deterministic
-primitive element, so a field instance is immutable and cheap to query.
+Each operation has one implementation that takes a Python int or an integer
+numpy array, so a scalar method and the dense table it matches run the same
+code. Products and powers read exp/log tables of the smallest primitive
+element, built on first use; a field that is only named, say to check a
+manifest's descriptor, never builds them. An instance is immutable.
 """
 
 from __future__ import annotations
@@ -206,9 +209,6 @@ class FiniteField:
         self.n = n
         self.d = d
         self.modulus = tuple(modulus)
-        self._log: np.ndarray | None = None
-        self._exp: np.ndarray | None = None
-        self._generator: int | None = None
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, n={self.n}, modulus={list(self.modulus)})"
@@ -246,104 +246,79 @@ class FiniteField:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        p = self.p
-        out, base = 0, 1
-        while a or b:
-            out += ((a + b) % p) * base
-            a, b = a // p, b // p
-            base *= p
+    def _combine(self, a, b, s: int = 1):
+        """Digit-wise sum_k ((a_k + s*b_k) mod p) p^k: a + b for s = 1."""
+        p, out = self.p, 0
+        for k in range(self.n):
+            out = out + (a // p**k % p + s * (b // p**k % p)) % p * p**k
         return out
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        p = self.p
-        out, base = 0, 1
-        while a:
-            out += ((p - a % p) % p) * base
-            a //= p
-            base *= p
-        return out
+    @functools.cached_property
+    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exp, log) tables of the smallest primitive element g, found by
+        testing g^((d-1)/q) != 1 for each prime q dividing d-1: exp[k] = g^k
+        for k in 0..d-2, log[exp[k]] = k and log[0] = -1."""
+        p, m, modulus = self.p, self.d - 1, list(self.modulus)
+        g = next(g for g in range(1, self.d)
+                 if all(_poly_powmod(_index_to_poly(g, p), m // q, modulus, p) != [1]
+                        for q in _prime_factors(m)))
+        exp = np.zeros(m, dtype=np.int64)
+        log = np.full(self.d, -1, dtype=np.int64)
+        acc = 1
+        for k in range(m):
+            exp[k] = acc
+            log[acc] = k
+            acc = self._mul_raw(acc, g)
+        return exp, log
+
+    def _product(self, a, b):
+        """a * b as exp[(log a + log b) mod (d-1)], and 0 when a or b is 0."""
+        exp, log = self._exp_log
+        return np.where((a == 0) | (b == 0), 0, exp[(log[a] + log[b]) % (self.d - 1)])
+
+    def _power(self, a, k: int):
+        """a**k as exp[(log a * k) mod (d-1)], with 0**0 = 1. k is reduced
+        mod d-1 as a Python int first, so the int64 product stays exact."""
+        exp, log = self._exp_log
+        m = self.d - 1
+        return np.where(a == 0, int(k == 0), exp[log[a] * (k % m) % m])
+
+    def _trace(self, a):
+        total = 0
+        for _ in range(self.n):
+            total = self._combine(total, a)
+            a = self._power(a, self.p)
+        return total
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Product by polynomial multiplication and reduction (no tables)."""
         prod = _poly_mul(_index_to_poly(a, self.p), _index_to_poly(b, self.p), self.p)
         return _poly_to_index(_poly_mod(prod, list(self.modulus), self.p), self.p)
 
-    def _ensure_tables(self) -> None:
-        if self._log is not None:
-            return
-        g = self._find_generator()
-        d = self.d
-        exp = np.zeros(max(d - 1, 1), dtype=np.int64)
-        log = np.full(d, -1, dtype=np.int64)
-        acc = 1
-        for k in range(d - 1):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._mul_raw(acc, g)
-        if d == 2:
-            exp[0] = 1
-            log[1] = 0
-        self._exp, self._log, self._generator = exp, log, g
+    def add(self, a: int, b: int) -> int:
+        self._check(a, b)
+        return self._combine(a, b)
 
-    def _order_is_full(self, g: int) -> bool:
-        m = self.d - 1
-        for q in _prime_factors(m):
-            if self._pow_raw(g, m // q) == 1:
-                return False
-        return True
-
-    def _pow_raw(self, a: int, k: int) -> int:
-        result, acc = 1, a
-        while k:
-            if k & 1:
-                result = self._mul_raw(result, acc)
-            acc = self._mul_raw(acc, acc)
-            k >>= 1
-        return result
-
-    def _find_generator(self) -> int:
-        if self.d == 2:
-            return 1
-        for g in range(2, self.d):
-            if self._order_is_full(g):
-                return g
-        raise RuntimeError("no primitive element found")  # pragma: no cover
+    def neg(self, a: int) -> int:
+        self._check(a)
+        return self._combine(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if a == 0 or b == 0:
-            return 0
-        self._ensure_tables()
-        k = (int(self._log[a]) + int(self._log[b])) % (self.d - 1) if self.d > 2 else 0
-        return int(self._exp[k])
+        return int(self._product(a, b))
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        self._ensure_tables()
-        if self.d == 2:
-            return 1
-        k = (-int(self._log[a])) % (self.d - 1)
-        return int(self._exp[k])
+        return int(self._power(a, self.d - 2))
 
     def pow(self, a: int, k: int) -> int:
-        """a**k by square-and-multiply; k must be >= 0 (pow(0, 0) = 1)."""
+        """a**k for k >= 0 (pow(0, 0) = 1), exact for any Python int k."""
         self._check(a)
         if k < 0:
             raise IndexOutOfRange("negative exponents not supported; use inv")
-        if a == 0:
-            return 1 if k == 0 else 0
-        result, acc = 1, a
-        while k:
-            if k & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
-            k >>= 1
-        return result
+        return int(self._power(a, k))
 
     def trace(self, a: int) -> int:
         """Field trace down to F_p, returned as a digit in 0..p-1.
@@ -351,25 +326,19 @@ class FiniteField:
         Tr(a) = a + a^p + ... + a^(p^(n-1)); additive and F_p-linear.
         """
         self._check(a)
-        acc, total = a, 0
-        for _ in range(self.n):
-            total = self.add(total, acc)
-            acc = self.pow(acc, self.p)
-        # total lies in the prime subfield, whose elements are indices 0..p-1
-        return total
+        # the sum lies in the prime subfield, whose elements are indices 0..p-1
+        return int(self._trace(a))
 
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group (1 for GF(2))."""
-        self._ensure_tables()
-        return int(self._generator)
+        return int(self._exp_log[0][1 % (self.d - 1)])
 
     def dlog(self, a: int) -> int:
         """Discrete log of a nonzero element w.r.t. the primitive element."""
         self._check(a)
         if a == 0:
             raise ZeroInverse("discrete log of 0 is undefined")
-        self._ensure_tables()
-        return int(self._log[a])
+        return int(self._exp_log[1][a])
 
     # -- dense tables (used by the tensor and construction modules) ----------
 
@@ -377,25 +346,18 @@ class FiniteField:
     def add_table(self) -> np.ndarray:
         """d x d array with [a, b] = a + b, added digit by digit mod p."""
         idx = np.arange(self.d)
-        t = np.zeros((self.d, self.d), dtype=np.int64)
-        for k in range(self.n):
-            digit = idx // self.p**k % self.p
-            t += (digit[:, None] + digit) % self.p * self.p**k
-        return t
+        return self._combine(idx[:, None], idx)
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
         """d x d array with [a, b] = a * b, as exp[(log a + log b) mod (d-1)]."""
-        self._ensure_tables()
-        log = self._log[1:]
-        t = np.zeros((self.d, self.d), dtype=np.int64)
-        t[1:, 1:] = self._exp[(log[:, None] + log) % (self.d - 1)]
-        return t
+        idx = np.arange(self.d)
+        return self._product(idx[:, None], idx)
 
     @functools.cached_property
     def trace_vector(self) -> np.ndarray:
         """Length-d array of field traces."""
-        return np.array([self.trace(a) for a in range(self.d)], dtype=np.int64)
+        return self._trace(np.arange(self.d))
 
     def descriptor(self) -> dict:
         """JSON-ready field descriptor fragment."""

@@ -113,6 +113,13 @@ PINNED = {
                 "d6f6c0c6cb92e2320dfc4af138cbb86a4462b158d02f7adf1e57a4cd1116ad31"),
     "psi-gf13": (_construct(13, 1, "psi"),
                  "730324c4d1ddfb9752e6a9fabf883ff67e0ef415a50b0415a61251d0b3080353"),
+    # the trace of an odd-p field of degree n >= 2 reaches chi and psi
+    "chi-gf27": (_construct(3, 3, "chi"),
+                 "38f028ebcc1092446d6c3e597bb5c805c3cc2ad5b073c721ed8f882ed25eca1b"),
+    "psi-gf27": (_construct(3, 3, "psi"),
+                 "69404da712e7b36add1ca35b465a398e0711e1cd8cce2415dcfb54fa55d863e1"),
+    "chi-gf49": (_construct(7, 2, "chi"),
+                 "c551b9ab273eeec3d20bcfc851b583be5ed06d5e0bd06f9331d4ec858496048e"),
     "random-4x4": (_random_hadamard,
                    "b956a7e2bb28bc72c0c7b7d419db7f0fedcf45d004fed495959e340a798cf339"),
 }
@@ -552,6 +559,20 @@ def test_phi_rejects_non_hadamard_g(tmp_path, capsys):
     ])
     assert rc == 1
     assert "G: is_hadamard failed" in capsys.readouterr().err
+
+
+def test_theta_of_the_d1_table(tmp_path, capsys):
+    """The d = 1 table that verify passes, theta turns into the family of two
+    1x1 bases, which verify passes too."""
+    path = tmp_path / "ueb.json"
+    path.write_text(json.dumps({"kind": "ueb", "dimension": 1, "operators": [{"x": 0, "a": 0, "matrix": ONE}]}))
+    assert run(["verify", path]) == 0
+    assert run(["theta", path, "--out", tmp_path / "mub.json"]) == 0
+    family = manifests.mub_from_manifest(manifests.load_manifest(tmp_path / "mub.json"))
+    assert np.array_equal(family.bases, np.ones((2, 1, 1)))
+    capsys.readouterr()
+    assert run(["verify", tmp_path / "mub.json"]) == 0
+    assert capsys.readouterr().out == "maximal_mub_overlaps: residual 0.000e+00 PASS\n"
 
 
 def test_theta_on_malformed_manifest(tmp_path):

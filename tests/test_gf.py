@@ -11,7 +11,7 @@ from mubkit.errors import (
     TooLarge,
     ZeroInverse,
 )
-from mubkit.gf import FiniteField, default_modulus, is_irreducible, new_field
+from mubkit.gf import FiniteField, _poly_mod, _poly_mul, default_modulus, is_irreducible, new_field
 
 SMALL_PRIME_POWERS = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -94,6 +94,10 @@ def test_pow_square_and_multiply():
             acc = f.mul(acc, a)
     assert f.pow(0, 0) == 1
     assert f.pow(0, 5) == 0
+    # exponents past int64 are reduced mod d-1 exactly
+    k = 2**70 + 3
+    for a in range(1, f.d):
+        assert f.pow(a, k) == f.pow(a, k % (f.d - 1))
 
 
 def test_trace_gf4():
@@ -143,15 +147,43 @@ def test_index_out_of_range():
         f.mul(0, -1)
 
 
+def _pow_by_squaring(f, a, k):
+    result = 1
+    while k:
+        if k & 1:
+            result = f._mul_raw(result, a)
+        a = f._mul_raw(a, a)
+        k >>= 1
+    return result
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 2), (2, 5), (3, 3)])
 def test_dense_tables_equal_per_pair_arithmetic(p, n):
-    """The vectorized tables against the scalar add/mul, pair by pair."""
+    """The dense tables and the scalar add/neg/mul/inv/pow/trace against
+    polynomial arithmetic on digit vectors, element by element."""
     f = new_field(p, n)
-    want_add = np.array([[f.add(a, b) for b in range(f.d)] for a in range(f.d)])
-    want_mul = np.array([[f.mul(a, b) for b in range(f.d)] for a in range(f.d)])
-    assert f.add_table.dtype == f.mul_table.dtype == np.int64
+    d, modulus = f.d, list(f.modulus)
+    want_add = np.array([[f.index([(x + y) % p for x, y in zip(f.digits(a), f.digits(b))])
+                          for b in range(d)] for a in range(d)])
+    want_mul = np.array([[f.index(_poly_mod(_poly_mul(f.digits(a), f.digits(b), p), modulus, p))
+                          for b in range(d)] for a in range(d)])
+    assert f.add_table.dtype == f.mul_table.dtype == f.trace_vector.dtype == np.int64
     assert np.array_equal(f.add_table, want_add)
     assert np.array_equal(f.mul_table, want_mul)
+    assert np.array_equal([[f.add(a, b) for b in range(d)] for a in range(d)], want_add)
+    assert np.array_equal([[f.mul(a, b) for b in range(d)] for a in range(d)], want_mul)
+    for a in range(d):
+        assert f.neg(a) == f.index([-x % p for x in f.digits(a)])
+        for k in (0, 1, 2, p, d - 1, d, 2**70 + 3):
+            assert f.pow(a, k) == _pow_by_squaring(f, a, k)
+        if a:
+            assert f._mul_raw(a, f.inv(a)) == 1
+        # Tr(a) = a + a^p + ... + a^(p^(n-1)), summed digit by digit
+        total = [0] * n
+        for k in range(n):
+            total = [(x + y) % p for x, y in zip(total, f.digits(_pow_by_squaring(f, a, p**k)))]
+        assert f.trace(a) == f.trace_vector[a] == f.index(total) < p
+    assert all(type(v) is int for v in (f.add(1, 1), f.neg(1), f.mul(1, 1), f.inv(1), f.pow(1, 2), f.trace(1)))
 
 
 @pytest.mark.parametrize("p,n", SMALL_PRIME_POWERS)
@@ -190,6 +222,8 @@ def test_field_equality_and_descriptor():
     f = new_field(2, 2)
     assert f == FiniteField(2, 2, [1, 1, 1])
     assert f.descriptor() == {"p": 2, "n": 2, "poly": [1, 1, 1]}
+    # naming a field does not build its exp/log tables
+    assert "_exp_log" not in vars(f)
 
 
 def test_rabin_branch_matches_trial_division():
@@ -203,8 +237,6 @@ def test_rabin_branch_matches_trial_division():
 
 
 def _irreducible_by_division(poly, p):
-    from mubkit.gf import _poly_mod
-
     n = len(poly) - 1
     for deg in range(1, n // 2 + 1):
         for idx in range(p**deg):

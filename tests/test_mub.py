@@ -4,7 +4,7 @@ import pytest
 from mubkit.cplx import max_abs, simultaneous_eigenbasis
 from mubkit.errors import NotPartitionedUeb, NotUnitary, WrongFamilySize
 from mubkit.gf import new_field
-from mubkit.construct import PartitionedUeb, ueb_from_field
+from mubkit.construct import PartitionedUeb, is_partitioned_ueb, ueb_from_field
 from mubkit.mub import (
     MubFamily,
     bases_match,
@@ -99,6 +99,17 @@ def test_theta_canonical_shortcut_returns_identity():
     canonical = conjugate_ueb(ueb_from_field(f), chi / 2.0)
     fam = mub_from_ueb(canonical, seed=0)
     assert np.array_equal(fam.basis("*"), np.eye(4))
+
+
+def test_theta_of_the_d1_table_is_the_trivial_family():
+    """At d = 1 the only class has no members: θ gives it the identity, as it
+    gives a diagonal distinguished class, instead of refusing a table that
+    passes every partitioned UEB law."""
+    table = np.ones((1, 1, 1, 1))
+    assert is_partitioned_ueb(table)
+    fam = mub_from_ueb(table)
+    assert np.array_equal(fam.bases, np.ones((2, 1, 1)))
+    assert all(r["pass"] for r in mub_residuals(fam))
 
 
 def test_theta_rejects_non_ueb():
