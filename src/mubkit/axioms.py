@@ -19,9 +19,10 @@ table, read off the tensor itself (``_table``), are equations or counts on
 index grids of at most four indices: associativity, distributivity, spider
 fusion, the bialgebra copy law, strong complementarity, cancellation and the
 reassociations. The laws with true sums contract both sides to explicit
-arrays. The largest arrays are d^4 float64 (the Frobenius wirings and the
-spider-fusion count). The suite refuses (``TooLarge``) a field whose d^4 real
-array would exceed ``MAX_ARRAY_BYTES`` = 128 MiB, which admits d <= 64.
+arrays, except that each dot contracts one Frobenius wiring (d^4 float64,
+the largest array) and reads the rest of its family off it and its table.
+The suite refuses (``TooLarge``) a field whose d^4 real array would exceed
+``MAX_ARRAY_BYTES`` = 128 MiB, which admits d <= 64.
 A modular-ring variant with composite d serves as the negative control:
 it must fail exactly at the multiplicative-group laws.
 """
@@ -197,22 +198,21 @@ def _table(m: np.ndarray, name: str) -> np.ndarray:
     return table
 
 
-def _spider_fusion(m: np.ndarray, name: str) -> float:
+def _spider_fusion(table: np.ndarray, wiring: np.ndarray) -> float:
     """Difference of the 3-in/2-out trees ``opq,oabc->pqcab`` (with
-    oabc = ``wab,owc``) and ``wab,wpv,qvc->pqcba``. The first is [T(p, q) =
-    T(T(a, b), c)] and the second X[T(b, a), p, q, c] for the count
-    X = ``wpv,qvc->wpqc``. At output (p, q, c, a, b) both depend on a and b
-    only through the pair (T(a, b), T(b, a)), so the trees are compared once
-    per distinct pair."""
-    n = m.shape[0]
-    table = _table(m, name)
+    oabc = ``wab,owc``) and ``wab,wpv,qvc->pqcba`` for the padded table T
+    and its Frobenius ``wiring``. The first is [T(p, q) = T(T(a, b), c)]
+    and the second X[T(b, a), p, q, c] for the count X = ``wpv,qvc->wpqc``,
+    which is X[w, p, q, c] = wiring[p, q, w, c]. At output (p, q, c, a, b)
+    both depend on a and b only through the pair (T(a, b), T(b, a)), so the
+    trees are compared once per distinct pair."""
+    n = wiring.shape[0]
     t = table[:n, :n]
-    x = _einsum("wpv,qvc->wpqc", m, m)
     pq = t[:, :, None]
     worst = 0.0
     for s, r in np.unique(np.stack([t, t.T], axis=-1).reshape(-1, 2), axis=0):
         left = (pq == table[s, :n]) & (pq >= 0)
-        worst = max(worst, _diff(left, x[r] if r >= 0 else 0.0))
+        worst = max(worst, _diff(left, wiring[:, :, r] if r >= 0 else 0.0))
     return worst
 
 
@@ -227,12 +227,11 @@ _ALGEBRAS = {
 }
 
 
-def _monoid_residuals(m, u, name) -> dict:
+def _monoid_residuals(m, table, u) -> dict:
     """Associativity, two-sided unit and commutativity residuals of the
-    product ``m`` (called ``name``) with unit ``u``. Associativity compares
-    T(T(a, b), c) with T(a, T(b, c)) on the (a, b, c) grid of m's table."""
+    product ``m`` with padded table ``table`` and unit ``u``. Associativity
+    compares T(T(a, b), c) with T(a, T(b, c)) on the table's (a, b, c) grid."""
     n = m.shape[0]
-    table = _table(m, name)
     a, b, c = np.ogrid[:n, :n, :n]
     eye = np.eye(n)
     return {
@@ -244,33 +243,34 @@ def _monoid_residuals(m, u, name) -> dict:
 
 def verify_frobenius(t: StructureTensors, which: str, tol: float = DEFAULT_TOL) -> list:
     """Monoid, Frobenius and (quasi-)specialness laws for one dot, plus a
-    spider-fusion spot check on two differently wired 3-in/2-out trees."""
+    spider-fusion spot check on two differently wired 3-in/2-out trees. The
+    right wiring is the left one ``aow,pwb->opab`` transposed by (2, 3, 0, 1),
+    and the middle one, [T(o, p) = T(a, b)], is symmetric under that swap."""
+    if which not in _ALGEBRAS:
+        raise ValueError(f"unknown dot {which!r}")
     mult_name, unit_name, scale, group_like = _ALGEBRAS[which]
     m = getattr(t, mult_name)
     n = m.shape[0]
     k = scale(t.d)
+    table = _table(m, mult_name)
+    tab = table[:n, :n]
     out = []
 
     if group_like:
         out.append(_entry(f"{which}.closure", _diff(m.sum(axis=0), np.ones((n, n))), tol))
     out.extend(
         _entry(f"{which}.{law}", r, tol)
-        for law, r in _monoid_residuals(m, getattr(t, unit_name), mult_name).items()
+        for law, r in _monoid_residuals(m, table, getattr(t, unit_name)).items()
     )
 
-    frob_left = _einsum("aow,pwb->opab", m, m)
-    frob_mid = _einsum("wop,wab->opab", m, m)
-    frob_right = _einsum("oaw,bwp->opab", m, m)
-    out.append(_entry(
-        f"{which}.frobenius",
-        max(_diff(frob_left, frob_mid), _diff(frob_mid, frob_right)),
-        tol,
-    ))
-    loop = _einsum("oab,wab->ow", m, m)
+    wiring = _einsum("aow,pwb->opab", m, m)
+    same = (tab[:, :, None, None] == tab) & (tab[:, :, None, None] >= 0)
+    out.append(_entry(f"{which}.frobenius", _diff(wiring, same), tol))
+    loop = np.diag(np.bincount(tab[tab >= 0], minlength=n))
     law = f"{which}.special" if k == 1 else f"{which}.quasi_special"
     out.append(_entry(law, _diff(loop, k * np.eye(n)), tol))
 
-    out.append(_entry(f"{which}.spider_fusion", _spider_fusion(m, mult_name), tol))
+    out.append(_entry(f"{which}.spider_fusion", _spider_fusion(table, wiring), tol))
     return out
 
 
@@ -360,7 +360,7 @@ def verify_field_equations(t: StructureTensors, tol: float = DEFAULT_TOL) -> lis
         tol,
     ))
 
-    monoid = _monoid_residuals(my, t.yellow_unit, "yellow_mult")
+    monoid = _monoid_residuals(my, mul, t.yellow_unit)
     out.extend(
         _entry(f"full_multiplication_{law}", monoid[law], tol)
         for law in ("unit", "associativity", "commutativity")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ def test_yellow_assembly_cross_check_exact():
     for p, n in FIELDS:
         t = build_structure_tensors(new_field(p, n))
         assert np.array_equal(t.yellow_mult, t.yellow_mult_assembled)
+
+
+def test_unknown_dot_is_refused():
+    t = build_structure_tensors(new_field(2, 1))
+    with pytest.raises(ValueError, match="unknown dot 'purple'"):
+        verify_frobenius(t, "purple")
 
 
 def test_black_spider_laws_exact():
@@ -256,6 +263,14 @@ def oneshot_spider_fusion(m):
     return _max_diff(tree_a, tree_b)
 
 
+def oneshot_frobenius(m):
+    """The three Frobenius wirings, each contracted in full."""
+    left = _oneshot("aow,pwb->opab", m, m)
+    mid = _oneshot("wop,wab->opab", m, m)
+    right = _oneshot("oaw,bwp->opab", m, m)
+    return max(_max_diff(left, mid), _max_diff(mid, right))
+
+
 def oneshot_associativity(m):
     return _max_diff(_oneshot("wab,owc->oabc", m, m), _oneshot("oaw,wbc->oabc", m, m))
 
@@ -263,11 +278,17 @@ def oneshot_associativity(m):
 def oneshot_residuals(t):
     """Residuals of every law the suite no longer contracts in one shot."""
     out = {}
+    d = t.d
     for which in DOTS:
-        m = getattr(t, axioms._ALGEBRAS[which][0])
+        mult_name, _, scale, _ = axioms._ALGEBRAS[which]
+        m = getattr(t, mult_name)
+        k = scale(d)
         out[f"{which}.spider_fusion"] = oneshot_spider_fusion(m)
         out[f"{which}.associativity"] = oneshot_associativity(m)
-    d = t.d
+        out[f"{which}.frobenius"] = oneshot_frobenius(m)
+        loop = _oneshot("oab,wab->ow", m, m)
+        special = f"{which}.special" if k == 1 else f"{which}.quasi_special"
+        out[special] = _max_diff(loop, k * np.eye(len(m)))
     target = _oneshot("og,vb->ovgb", np.eye(d - 1), np.eye(d))
     out["yellow-black.cancellation"] = _max_diff(oneshot_cancellation(t), target)
     mr = t.red_mult.astype(complex)
@@ -365,15 +386,16 @@ BINARY_TABLES = [np.reshape(v, (2, 2)) for v in itertools.product((-1, 0, 1), re
 
 @pytest.mark.parametrize("which", ["red", "yellow_green"])
 def test_spider_fusion_matches_oneshot_on_every_binary_table(which):
-    """Every partial operation on two elements, commutative or not, through
-    a dot of the GF(2^2) tensors: the table path gives the one-shot value."""
-    t = build_structure_tensors(new_field(2, 2))
+    """Every partial operation on two elements, commutative or not, as the
+    product of a dot: the table path, given the table and the left
+    Frobenius wiring, gives the one-shot value."""
     name = axioms._ALGEBRAS[which][0]
     for table in BINARY_TABLES:
         m = _tensor(table)
         if which == "yellow_green":  # padded with a third element no product reaches
             m = np.pad(m, ((0, 1), (0, 1), (0, 1)))
-        assert axioms._spider_fusion(m, name) == oneshot_spider_fusion(m), table
+        wiring = _oneshot("aow,pwb->opab", m, m)
+        assert axioms._spider_fusion(axioms._table(m, name), wiring) == oneshot_spider_fusion(m), table
 
 
 def test_reassociations_match_oneshot_on_every_binary_table_pair():
@@ -463,6 +485,20 @@ def test_ring_control_large_composite_matches_oneshot():
     assert expected == 8.0
     got = {r["equation"]: r["residual"] for r in verify_frobenius(t, "yellow_green")}
     assert got["yellow_green.spider_fusion"] == expected
+
+
+@pytest.mark.parametrize("which", DOTS)
+def test_frobenius_holds_one_wiring_at_a_time(which):
+    """Each dot's Frobenius family holds one d^4 float64 array (the left
+    wiring) plus its difference from the table equation at a time."""
+    t = build_structure_tensors(new_field(2, 5))
+    tracemalloc.start()
+    try:
+        verify_frobenius(t, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * t.d**4 * 8
 
 
 def _ring_tensors_by_loops(d):

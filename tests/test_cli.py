@@ -604,6 +604,8 @@ def test_building_commands_refuse_degree_zero(tmp_path, capsys):
     (2, 4, "b48d3818085e1f9a75ca3ad706b06e8b9300e49e6a9bffee47afb046237c189e"),
     (17, 1, "508958abeb2d8f5a18d9a1573d01aecb3e6a412c66444f87f872920b05c4a07c"),
     (19, 1, "0f5256d678bd27ccb6feea83468e8439ad49c5a6b3dff2b6d9556181641d222d"),
+    (2, 5, "ae0ca3a009c1c98047cffe8bc2bfd9723fde9a51155b7085dccc2cf8501342e1"),
+    (3, 3, "8f4e6700a9a9b680a547d0e47f59664ccfca0c2e9ed801a0f596acfe92be6c7a"),
 ])
 def test_axioms_stdout_is_pinned(capsys, p, n, digest):
     """The staged, block-wise, real-valued contractions print the same
