@@ -264,13 +264,15 @@ def verify_frobenius(t: StructureTensors, which: str, tol: float = DEFAULT_TOL) 
     )
 
     wiring = _einsum("aow,pwb->opab", m, m)
-    same = (tab[:, :, None, None] == tab) & (tab[:, :, None, None] >= 0)
-    out.append(_entry(f"{which}.frobenius", _diff(wiring, same), tol))
+    spider = _spider_fusion(table, wiring)
+    # [T(o, p) = T(a, b), defined], laid out as the wiring to come off it in one sweep
+    same = np.equal(tab[:, :, None, None], tab, out=np.empty_like(wiring, dtype=bool))
+    wiring -= np.logical_and(same, tab[:, :, None, None] >= 0, out=same)
+    out.append(_entry(f"{which}.frobenius", cplx.max_abs(wiring), tol))
     loop = np.diag(np.bincount(tab[tab >= 0], minlength=n))
     law = f"{which}.special" if k == 1 else f"{which}.quasi_special"
     out.append(_entry(law, _diff(loop, k * np.eye(n)), tol))
-
-    out.append(_entry(f"{which}.spider_fusion", _spider_fusion(table, wiring), tol))
+    out.append(_entry(f"{which}.spider_fusion", spider, tol))
     return out
 
 

@@ -1,9 +1,9 @@
 """Stable JSON serialization for every object the CLI moves around.
 
-Complex values are two-element arrays [re, im]; matrices nest row-major and
-stay numpy arrays until they become text. Serialization is deterministic:
-explicit key order, floats printed with 17 significant digits,
-newline-terminated output, so repeated runs produce byte-identical files.
+Complex values are [re, im] pairs; matrices nest row-major and turn into text
+and back a block of rows at a time. Serialization is deterministic: explicit
+key order, floats printed with 17 significant digits, newline-terminated
+output, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,54 +29,48 @@ class ManifestError(MubkitError):
 
 # -- canonical writer --------------------------------------------------------
 
-def _dump(value, out: list) -> None:
+def _dump(value, write) -> None:
     if isinstance(value, dict):
-        out.append("{")
+        write("{")
         for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _dump(v, out)
-        out.append("}")
+            write(("," if i else "") + json.dumps(k) + ":")
+            _dump(v, write)
+        write("}")
     elif isinstance(value, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, v in enumerate(value):
             if i:
-                out.append(",")
-            _dump(v, out)
-        out.append("]")
+                write(",")
+            _dump(v, write)
+        write("]")
     elif isinstance(value, bool):
-        out.append("true" if value else "false")
+        write("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
+        write(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
+        write(format(float(value), ".17g"))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        write(json.dumps(value))
     elif isinstance(value, np.ndarray):
-        out.append(_matrix_text(value))
+        _write_matrix(value, write)
     elif value is None:
-        out.append("null")
+        write("null")
     else:
         raise ManifestError(f"cannot serialize {type(value).__name__}")
 
 
-def _pieces(obj: dict) -> list:
-    out: list = []
-    _dump(obj, out)
-    out.append("\n")
-    return out
-
-
 def dumps(obj: dict) -> str:
-    return "".join(_pieces(obj))
+    out: list = []
+    _dump(obj, out.append)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_manifest(obj: dict, path) -> None:
-    """Write ``dumps(obj)`` piece by piece, never joined into one string."""
+    """Write ``dumps(obj)`` to ``path`` as it is made, one block of matrix rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_pieces(obj))
+        _dump(obj, fh.write)
+        fh.write("\n")
 
 
 def load_manifest(path) -> dict:
@@ -97,7 +91,7 @@ def load_manifest(path) -> dict:
 # string delimiter, so in valid JSON this is a key and never text in a string.
 _PAYLOAD = re.compile(r'(?<!\\)"matrix":(\[\[\[[-+.eE0-9,\[\]]*\]\]\])')
 _INT64 = range(-2**63, 2**63)
-_BLOCK = 1 << 16  # tokens split out of a payload at a time; the token table's fill limit
+_BLOCK = 1 << 16  # floats written, or tokens read, at a time; the token table's fill limit
 
 
 class _NotTaken(Exception):
@@ -204,17 +198,21 @@ def _decode(text: str):
 
 # -- matrix <-> json ---------------------------------------------------------
 
-def _matrix_text(m: np.ndarray) -> str:
-    """A complex matrix as nested rows of [re, im] pairs. Each distinct float
-    is formatted once; floats are told apart by bit pattern, not by value,
-    so -0.0 keeps its sign."""
-    floats = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
-    bits, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
-    rows = text[inverse.reshape(floats.shape)].tolist()
-    return "[" + ",".join(
-        "[[" + "],[".join(map(",".join, zip(row[::2], row[1::2]))) + "]]" for row in rows
-    ) + "]"
+def _write_matrix(m: np.ndarray, write) -> None:
+    """A complex matrix as nested rows of [re, im] pairs, written _BLOCK floats
+    (or one row) at a time. A block formats each distinct float once, telling
+    floats apart by bit pattern, not by value, so -0.0 keeps its sign."""
+    write("[")
+    step = max(1, _BLOCK // max(1, 2 * m.shape[1]))
+    for i in range(0, len(m), step):
+        floats = np.ascontiguousarray(m[i:i + step], dtype=np.complex128).view(np.float64)
+        bits, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
+        text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+        if i:
+            write(",")
+        write(",".join("[[" + "],[".join(map(",".join, zip(row[::2], row[1::2]))) + "]]"
+                       for row in text[inverse.reshape(floats.shape)].tolist()))
+    write("]")
 
 
 def matrix_from_json(rows) -> np.ndarray:

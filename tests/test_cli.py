@@ -4,12 +4,18 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mubkit import manifests
-from mubkit.characters import Hadamard, additive_character_matrix, controlled_from_copies
+from mubkit.characters import (
+    Hadamard,
+    additive_character_matrix,
+    controlled_from_copies,
+    multiplicative_character_matrix,
+)
 from mubkit.cli import main
 from mubkit.construct import ueb_from_field
 from mubkit.gf import new_field
@@ -57,17 +63,57 @@ def test_serialized_floats_are_full_precision(tmp_path):
     assert loaded.matrix[0, 0] == h.matrix[0, 0]
 
 
-def test_matrix_text_matches_per_entry_formatting():
-    """The array-to-text writer against the per-entry loop it replaced, on
-    a non-square matrix with repeated, signed-zero and subnormal floats."""
+def test_matrix_text_matches_per_entry_formatting(tmp_path):
+    """The block-wise writer against the per-entry loop it replaced, on
+    repeated, signed-zero and subnormal floats: a non-square matrix of one
+    block, one of three blocks (131, 131 and 38 rows of 250), one row wider
+    than a block, and an empty array. ``write_manifest`` writes the bytes of
+    ``dumps``."""
     rng = np.random.default_rng(1)
-    m = rng.standard_normal((5, 3)).astype(complex)
-    m.imag = rng.choice([-0.0, 0.0, 0.1, 5e-324, -1e308, 1 / 3], (5, 3))
-    assert np.signbit(m.imag[m.imag == 0]).any() and not np.signbit(m.imag[m.imag == 0]).all()
-    loop = "[" + ",".join("[" + ",".join(
-        f"[{format(z.real, '.17g')},{format(z.imag, '.17g')}]" for z in row) + "]" for row in m) + "]"
-    assert manifests.dumps({"matrix": m}) == '{"matrix":' + loop + "}\n"
-    assert np.array_equal(manifests.matrix_from_json(json.loads(loop)), m)
+    for shape in [(5, 3), (300, 250), (1, 40000), (0, 0)]:
+        m = rng.standard_normal(shape).astype(complex)
+        m.imag = rng.choice([-0.0, 0.0, 0.1, 5e-324, -1e308, 1 / 3], shape)
+        loop = "[" + ",".join("[" + ",".join(
+            f"[{format(z.real, '.17g')},{format(z.imag, '.17g')}]" for z in row) + "]" for row in m) + "]"
+        text = manifests.dumps({"matrix": m})
+        assert text == '{"matrix":' + loop + "}\n"
+        manifests.write_manifest({"matrix": m}, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == text.encode()
+        if m.size:
+            assert np.signbit(m.imag[m.imag == 0]).any() and not np.signbit(m.imag[m.imag == 0]).all()
+            assert np.array_equal(manifests.matrix_from_json(json.loads(loop)), m)
+    assert text == '{"matrix":[]}\n'
+
+
+def test_write_manifest_stops_at_an_unserializable_value(tmp_path):
+    """A value the writer cannot serialize, met after a matrix has gone to
+    the file, raises ManifestError, and verify refuses the partial file."""
+    path = tmp_path / "chi.json"
+    chi = manifests.hadamard_manifest(additive_character_matrix(new_field(2, 2)))
+    with pytest.raises(manifests.ManifestError, match="cannot serialize object"):
+        manifests.write_manifest({**chi, "extra": object()}, path)
+    assert path.read_text().startswith('{"kind":"hadamard","dimension":4,"matrix":[[[1,0],')
+    assert run(["verify", path]) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: manifests.hadamard_manifest(additive_character_matrix(new_field(3, 6))),
+    lambda: manifests.hadamard_manifest(multiplicative_character_matrix(new_field(3, 6))),
+    lambda: manifests.ueb_manifest(ueb_from_field(new_field(2, 5)), new_field(2, 5)),
+], ids=["chi-gf729", "psi-gf729", "ueb-gf32"])
+def test_write_manifest_holds_one_block(tmp_path, build):
+    """The memory ``write_manifest`` adds is one block's working set, not the
+    file's text nor a matrix's: the 8.5 MB chi and psi of GF(3^6) and the
+    1024 operators of GF(2^5) each stay under 4 MiB."""
+    obj = build()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        manifests.write_manifest(obj, tmp_path / "m.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4 * 2**20
 
 
 def test_construct_emits_five_files(tmp_path, capsys):
@@ -101,14 +147,14 @@ PINNED = {
                 "d5ef5e22dfc79c7c25c3ae4a6a5757df5c492db7e735adc5c4c9746a3cb97418"),
     "ueb-gf9": (_construct(3, 2, "ueb"),
                 "dbae7c5a5a78b9be3f6915e338cdb352827780f2e718fd89f1d6533f5642974a"),
-    # psi of GF(5) holds the entry [-0, -1]: a writer that told floats apart
-    # by value instead of bit pattern would write -0 and 0 alike
     # real tables (float64 in memory) that the writer still writes as
     # [re, 0] pairs
     "ueb-gf8": (_construct(2, 3, "ueb"),
                 "cf0baf619bee453089557fb1999be15fb2e018e116f163274ce00ceafeed02e4"),
     "chi-gf16": (_construct(2, 4, "chi"),
                  "1fd2ee73362171805afcee216c493aab499c5ae03426d9e6bd615e8ce59006d8"),
+    # psi of GF(5) holds the entry [-0, -1]: a writer that told floats apart
+    # by value instead of bit pattern would write -0 and 0 alike
     "psi-gf5": (_construct(5, 1, "psi"),
                 "d6f6c0c6cb92e2320dfc4af138cbb86a4462b158d02f7adf1e57a4cd1116ad31"),
     "psi-gf13": (_construct(13, 1, "psi"),
@@ -120,6 +166,11 @@ PINNED = {
                  "69404da712e7b36add1ca35b465a398e0711e1cd8cce2415dcfb54fa55d863e1"),
     "chi-gf49": (_construct(7, 2, "chi"),
                  "c551b9ab273eeec3d20bcfc851b583be5ed06d5e0bd06f9331d4ec858496048e"),
+    # the only CLI outputs that span several blocks of the writer
+    "chi-gf729": (_construct(3, 6, "chi"),
+                  "4881a6dc112e18f5ea6f7ad10c0d25982344e2897ab4877bca429e2db8ab580e"),
+    "psi-gf729": (_construct(3, 6, "psi"),
+                  "46082798799a26cfcb9225a70be933eb256fff0b39f89d2927373b0eb479acf3"),
     "random-4x4": (_random_hadamard,
                    "b956a7e2bb28bc72c0c7b7d419db7f0fedcf45d004fed495959e340a798cf339"),
 }
