@@ -46,7 +46,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gf import FiniteField
-from .mub import MubFamily, is_maximal_mub_family
+from .mub import MubFamily, _overlap_deviations, is_maximal_mub_family
 
 
 @dataclass
@@ -260,16 +260,21 @@ def ueb_residuals(table, tol: float = cplx.DEFAULT_TOL) -> list:
     ``table`` is a :class:`PartitionedUeb` or anything its constructor
     accepts."""
     table = _as_ueb(table)
-    d = table.d
-    unitarity = max(cplx.unitarity_residual(row) for row in table.ops)
-    f = table.ops.reshape(d * d, d * d)
+    return [_unitarity(table, tol), _trace_law(table, tol)]
+
+
+def _unitarity(ueb: PartitionedUeb, tol: float) -> dict:
+    return cplx.residual_entry(
+        "ueb_unitarity", max(cplx.unitarity_residual(row) for row in ueb.ops), tol)
+
+
+def _trace_law(ueb: PartitionedUeb, tol: float) -> dict:
+    """The reference trace law: the d^2 x d^2 Gram of the flat table."""
+    d = ueb.d
+    f = ueb.ops.reshape(d * d, d * d)
     gram = f.conj() @ f.T
     gram[np.diag_indices(d * d)] -= d
-    trace_law = cplx.max_abs(gram)
-    return [
-        cplx.residual_entry("ueb_unitarity", unitarity, tol),
-        cplx.residual_entry("ueb_trace_law", trace_law, tol),
-    ]
+    return cplx.residual_entry("ueb_trace_law", cplx.max_abs(gram), tol)
 
 
 def _identity_slot(ueb: PartitionedUeb, tol: float) -> dict:
@@ -281,41 +286,196 @@ def partition_residuals(ueb: PartitionedUeb, tol: float = cplx.DEFAULT_TOL) -> l
     (the distinguished one and each row x) pairwise commuting. Class sizes
     d-1 are structural in the table. Classes are checked one at a time, so
     no temporary exceeds one class."""
-    d = ueb.d
-    classes = [ueb.class_star()] + [ueb.class_ops(x) for x in range(d)]
-    commutator = max(cplx.commutator_residual(ops)[0] for ops in classes)
+    commutator = max(cplx.commutator_residual(ops)[0] for ops in _classes(ueb))
     return [
         _identity_slot(ueb, tol),
         cplx.residual_entry("ueb_class_commutators", commutator, tol),
     ]
 
 
+def _classes(ueb: PartitionedUeb) -> list:
+    """The d+1 commuting classes, the distinguished one first."""
+    return [ueb.class_star()] + [ueb.class_ops(x) for x in range(ueb.d)]
+
+
+def _class_terms(w: np.ndarray, m: np.ndarray, stack: np.ndarray) -> tuple:
+    """What :func:`trace_law_bound` reads of one class diagonalization, for
+    an invertible W and M_a = fl(W† U_a W) over the class ``stack``:
+    (W, the eigenvalue table diag(M_a) as rows, the f_a, delta) of
+    :func:`mubkit.cplx.commutator_bound`. M itself is not kept."""
+    f, delta = cplx._diagonal_split(m, w, stack)
+    return w, np.diagonal(m, axis1=1, axis2=2).copy(), f, delta
+
+
+def trace_law_bound(ueb: PartitionedUeb, terms: list) -> tuple:
+    """Upper bounds on the reference trace-law residual (:func:`_trace_law`)
+    read off the class diagonalizations: ``terms`` holds
+    :func:`_class_terms` for each class of :func:`_classes`, from an
+    invertible W and M_a = fl(W† U_a W) for its members. Returns (identity, classes): the
+    bound on the Gram entries of the identity, and a symmetric array whose
+    entry (x, y) bounds every entry that pairs a member of class x with a
+    member of class y; the residual is at most their maximum. An entry is
+    inf when a delta below is not below 1/2.
+
+    Per class, with u = 2^-53, gamma_n = 2(n+2)u, delta and the f_a of
+    :func:`mubkit.cplx.commutator_bound` (W† U_a W = D_a + F_a,
+    D_a = diag(M_a), ||F_a||_F <= f_a, ||W† W - I||_F <= delta), and per
+    member the eigenvalue table lambda_a = diag(M_a),
+    n_a = ||lambda_a||_2, s_a = n_a + f_a,
+    sigma_a = |fl(sum_j lambda_a(j))| + gamma_d ||lambda_a||_1 and
+    nu_a = ||U_a||_F:
+
+    * Same class: U_a = W^-† (D_a + F_a) W^-1 for any invertible W, so
+      tr(U_a† U_b) = tr((D_a + F_a)† G^-1 (D_b + F_b) G^-1) with G = W† W,
+      ||G^-1|| <= 1/(1 - delta) and ||G^-1 - I|| <= delta/(1 - delta), and
+        |tr(U_a† U_b) - d delta_ab|
+          <= |T_ab - d delta_ab| + s_a s_b / (1 - delta)^2 - n_a n_b
+      with T = fl(Lambda† Lambda) the eigenvalue-table Gram, which adds
+      gamma_d n_a n_b for its rounding.
+    * Classes x != y: tr(U† V) = tr((D + F)† P (D' + F') P†) with
+      P = W^-1 W'^-† = G^-1 O G'^-1 and O = W† W'. With
+      r = sqrt((1 + delta)(1 + delta')) >= ||O||, e = delta/(1 - delta)
+      and rho = r (e + e' + e e') >= ||P - O||,
+        |tr(U† V)| <= |tr(D† O D' O†)| + n n' rho (2r + rho)
+                      + (s s' - n n') / ((1 - delta)(1 - delta')).
+      tr(D† O D' O†) = sum_jk conj(lambda_j) lambda'_k |O_jk|^2 is
+      conj(sum lambda)(sum lambda') / d + lambda† (Q - J/d) lambda' with
+      Q_jk = |O_jk|^2, so it is at most sigma sigma' / d + n n' (phi + d kappa):
+      phi is the Frobenius norm of the overlap sweep
+      fl(|fl(O_jk)|^2 - 1/d) (:func:`mubkit.mub._overlap_deviations`), and
+      kappa = gamma_d r (2 sqrt(2/d + beta) + gamma_d r) + 8u(2/d + beta),
+      with beta the sweep's largest entry, bounds the rounding of each of
+      its entries. Per class the maxima of n, f, sigma and nu over its
+      members stand in.
+    * The identity: its row of the Gram, one matrix-vector product, with
+      2 gamma_{d^2} nu_0 nu_b for its rounding and the reference's.
+
+    Every entry adds gamma_{d^2} nu_a nu_b for the rounding of the
+    reference Gram, and every bound is raised by the factor
+    (1 + 4u)(1 + 8 d^2 u) for the rounding of the reference's last steps
+    and of its own evaluation, so it is at least the residual the
+    reference would report.
+    """
+    d = ueb.d
+    u = np.finfo(np.float64).eps / 2
+    gd, gd2 = 2 * (d + 2) * u, 2 * (d * d + 2) * u
+    scale = (1 + 4 * u) * (1 + 8 * d * d * u)
+    flat = ueb.flat()
+    nu = cplx._fro(flat)
+    row = flat.reshape(d * d, d * d) @ flat[0].conj().ravel()
+    row[0] -= d
+    identity = scale * float(np.max(np.abs(row) + 2 * gd2 * nu[0] * nu))
+    if d == 1:  # the identity is the whole table
+        return identity, np.zeros((0, 0))
+    nus = [nu.reshape(d, d)[1:, 0]] + list(nu.reshape(d, d)[:, 1:])
+    k = len(terms)
+    # per class: delta, the maxima of n, f, sigma and nu, and its own block
+    delta, big_n, big_f, big_sigma, big_nu = np.zeros((5, k))
+    cross = np.zeros((k, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for x, (_, lam, f, delta_x) in enumerate(terms):
+            delta[x] = delta_x
+            n = np.linalg.norm(lam, axis=1)
+            sigma = np.abs(lam.sum(axis=1)) + gd * np.abs(lam).sum(axis=1)
+            big_n[x], big_f[x], big_sigma[x], big_nu[x] = n.max(), f.max(), sigma.max(), nus[x].max()
+            table = lam.conj() @ lam.T
+            table[np.diag_indices(len(lam))] -= d
+            s = n + f
+            cross[x, x] = np.max(np.abs(table) + np.outer(s, s) / (1 - delta[x]) ** 2
+                                 - (1 - gd) * np.outer(n, n) + gd2 * np.outer(nus[x], nus[x]))
+        bases = np.stack([t[0] for t in terms])
+        for x in range(k - 1):
+            dev = _overlap_deviations(bases[x], bases[x + 1:])
+            beta = np.abs(dev).max(axis=(1, 2))
+            phi = np.sqrt(np.einsum("kij,kij->k", dev, dev))
+            y = slice(x + 1, None)
+            e, ey = delta[x] / (1 - delta[x]), delta[y] / (1 - delta[y])
+            r = np.sqrt((1 + delta[x]) * (1 + delta[y]))
+            rho = r * (e + ey + e * ey)
+            kappa = gd * r * (2 * np.sqrt(2 / d + beta) + gd * r) + 8 * u * (2 / d + beta)
+            nn = big_n[x] * big_n[y]
+            cross[x, y] = (big_sigma[x] * big_sigma[y] / d
+                           + nn * (phi + d * kappa + rho * (2 * r + rho))
+                           + ((big_n[x] + big_f[x]) * (big_n[y] + big_f[y]) - nn)
+                           / ((1 - delta[x]) * (1 - delta[y]))
+                           + gd2 * big_nu[x] * big_nu[y])
+    cross = np.maximum(cross, cross.T)
+    bad = delta >= 0.5
+    cross[bad], cross[:, bad] = np.inf, np.inf
+    return identity, scale * cross
+
+
+def _diagonalize_classes(ueb: PartitionedUeb, tol: float, seed: int) -> tuple:
+    """θ's d+1 bases, and :func:`_class_terms` for each class of
+    :func:`_classes`, with the checks, seeds and draws of
+    :func:`mubkit.cplx.simultaneous_eigenbasis` bar its unitarity law: a
+    basis is the phase-normalized W. The distinguished class is drawn with
+    the identity, or, when it is already diagonal, keeps W = I (and M is
+    the class) after the same commutation certificate; at d = 1 the classes
+    have no members and any basis is theirs."""
+    eye = np.eye(ueb.d, dtype=np.complex128)
+    bases, terms = [], []
+    for x, ops in enumerate(_classes(ueb)):
+        if x == 0 and cplx.offdiag_residual(ops) < tol:
+            cplx.require_commuting(ops, cplx.commutator_bound(ops, eye, ops), tol)
+            w, m = eye, ops
+        elif x == 0:
+            w, m = cplx._diagonalize(cplx.as_matrix(np.concatenate([ops, eye[None]]), 3), tol, seed)
+            m = m[:-1]
+        elif len(ops):
+            w, m = cplx._diagonalize(cplx.as_matrix(ops, 3), tol, seed + x)
+        else:
+            w, m = eye, ops
+        bases.append(eye if w is eye else cplx.phase_normalize(w, tol))
+        terms.append(_class_terms(w, m, ops))
+    return bases, terms
+
+
+def _trace_law_certified(ueb: PartitionedUeb, terms: list, tol: float) -> bool:
+    """Whether :func:`trace_law_bound` proves the trace law below ``tol``.
+    When the identity's bound holds but a class pair's falls short, the
+    class of that pair with the larger own bound (its diagonal entry, set
+    by how far its M is from diagonal) takes one
+    :func:`mubkit.cplx._newton_step` from its W and M, formed again, and
+    the bound is read again."""
+    identity, bound = trace_law_bound(ueb, terms)
+    own = bound.diagonal()
+    short = ((bound >= tol) & (own[:, None] >= own[None, :])).any(axis=1)
+    if identity >= tol or not short.any():
+        return identity < tol
+    terms = list(terms)
+    for x, stack in enumerate(_classes(ueb)):
+        if short[x]:
+            w = terms[x][0]
+            w = cplx._newton_step(w, w.conj().T @ stack @ w)
+            terms[x] = _class_terms(w, w.conj().T @ stack @ w, stack)
+    identity, bound = trace_law_bound(ueb, terms)
+    return bool(identity < tol and (bound < tol).all())
+
+
 def _mub_family(ueb, tol: float, seed: int) -> MubFamily:
     """The body of :func:`mubkit.mub.mub_from_ueb`, which :func:`eigendata`
-    calls too. When a class's diagonalization or certificate raises, the
-    reference sweep of every class (:func:`partition_residuals`) decides
-    between :class:`NotPartitionedUeb` and re-raising, so θ raises as if
+    calls too. Unitarity and the identity slot are the reference laws. The
+    trace law is certified from the class diagonalizations
+    (:func:`trace_law_bound`); the reference Gram runs only when that
+    certificate falls short. When a class's diagonalization or
+    commutation certificate raises, the reference UEB laws and the sweep of
+    every class (:func:`partition_residuals`) decide between
+    :class:`NotPartitionedUeb` and re-raising, so θ raises as if
     :func:`is_partitioned_ueb` had been checked first."""
     ueb = _as_ueb(ueb)
-    if not all(r["pass"] for r in ueb_residuals(ueb, tol) + [_identity_slot(ueb, tol)]):
+    if not (_unitarity(ueb, tol)["pass"] and _identity_slot(ueb, tol)["pass"]):
         raise NotPartitionedUeb("input fails the partitioned UEB laws")
-    d = ueb.d
-    star = ueb.class_star()
-    eye = np.eye(d, dtype=np.complex128)
     try:
-        if cplx.offdiag_residual(star) < tol:
-            cplx.require_commuting(star, cplx.commutator_bound(star, eye, star), tol)
-            first = eye
-        else:
-            first = cplx.simultaneous_eigenbasis([*star, eye], tol, seed)
-        # at d = 1 the one class has no members, so any basis is theirs
-        classes = [ueb.class_ops(x) for x in range(d)]
-        return MubFamily(d, [first] + [cplx.simultaneous_eigenbasis(ops, tol, seed + 1 + x) if len(ops) else eye
-                                       for x, ops in enumerate(classes)])
+        bases, terms = _diagonalize_classes(ueb, tol, seed)
+        family = MubFamily(ueb.d, bases)
     except (MubkitError, np.linalg.LinAlgError):
-        if not all(r["pass"] for r in partition_residuals(ueb, tol)):
+        if not all(r["pass"] for r in ueb_residuals(ueb, tol) + partition_residuals(ueb, tol)):
             raise NotPartitionedUeb("input fails the partitioned UEB laws")
         raise
+    if not (_trace_law_certified(ueb, terms, tol) or _trace_law(ueb, tol)["pass"]):
+        raise NotPartitionedUeb("input fails the partitioned UEB laws")
+    return family
 
 
 def is_ueb(table, tol: float = cplx.DEFAULT_TOL) -> bool:

@@ -109,6 +109,25 @@ def _fro(stack: np.ndarray) -> np.ndarray:
     return np.sqrt([np.vdot(a, a).real for a in stack])
 
 
+def _diagonal_split(m, w, stack) -> tuple:
+    """The error terms of M_i = fl(W† U_i W) (the (k, d, d) ``m``) away
+    from its diagonal D_i, for the eigenbasis ``w`` of the (k, d, d)
+    ``stack``: (f, delta), with f the array of the f_i and delta as
+    :func:`commutator_bound` defines them. For any invertible W,
+    W† U_i W = D_i + F_i with ||F_i||_F <= f_i, and
+    ||W† W - I||_F <= delta."""
+    d = w.shape[0]
+    u = np.finfo(np.float64).eps / 2
+    gamma = 2 * (d + 2) * u
+    off = np.array(m)
+    off[:, range(d), range(d)] = 0.0
+    w_fro2 = float(np.vdot(w, w).real)
+    f = _fro(off) + (2 * gamma + gamma**2) * w_fro2 * _fro(stack)
+    gram = w.conj().T @ w
+    gram[range(d), range(d)] -= 1.0
+    return f, float(np.sqrt(np.vdot(gram, gram).real)) + gamma * w_fro2
+
+
 def commutator_bound(m, w, stack) -> float:
     """An upper bound on ||U_i U_j - U_j U_i||_F over the pairs of the
     (k, d, d) ``stack``, hence on :func:`commutator_residual`, read off
@@ -140,13 +159,7 @@ def commutator_bound(m, w, stack) -> float:
     u = np.finfo(np.float64).eps / 2
     gamma = 2 * (d + 2) * u
     lam = max_abs(np.diagonal(m, axis1=1, axis2=2))
-    off = np.array(m)
-    off[:, range(d), range(d)] = 0.0
-    w_fro2 = float(np.vdot(w, w).real)
-    f = _fro(off) + (2 * gamma + gamma**2) * w_fro2 * _fro(stack)
-    gram = w.conj().T @ w
-    gram[range(d), range(d)] -= 1.0
-    delta = float(np.sqrt(np.vdot(gram, gram).real)) + gamma * w_fro2
+    f, delta = _diagonal_split(m, w, stack)
     if delta >= 0.5:
         return np.inf
     f2, f1 = sorted(f)[-2:]
@@ -244,7 +257,15 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
     mats = as_matrix(family, 3)
     if unitarity_residual(mats) >= tol:
         raise NotUnitary("family member is not unitary within tolerance")
+    return phase_normalize(_diagonalize(mats, tol, seed)[0], tol)
 
+
+def _diagonalize(mats: np.ndarray, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple:
+    """The body of :func:`simultaneous_eigenbasis` for a (k, d, d) stack of
+    unitaries that already passed :func:`as_matrix` and the unitarity law:
+    (W, M) for the accepted draw, W its eigenvectors before
+    :func:`phase_normalize` and M = W† U W the products that accepted it.
+    Raises as :func:`simultaneous_eigenbasis` does."""
     d = mats.shape[1]
     rng = np.random.default_rng(seed)
     adj = mats.conj().swapaxes(-1, -2)
@@ -259,11 +280,32 @@ def simultaneous_eigenbasis(family, tol: float = DEFAULT_TOL, seed: int = 0) -> 
         m = w.conj().T @ mats @ w
         if offdiag_residual(m) < tol:
             require_commuting(mats, commutator_bound(m, w, mats), tol)
-            return phase_normalize(w, tol)
+            return w, m
     require_commuting(mats, np.inf, tol)
     raise DegenerateFamily(
         f"no random combination separated the joint eigenspaces in {SIMDIAG_RETRIES} attempts"
     )
+
+
+def _newton_step(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """One Newton step from the eigenbasis ``w`` of a (k, d, d) commuting
+    stack towards its exact common eigenbasis, read off M = W† U W in
+    ``m``: for each pair (j, l) the member with the largest eigenvalue gap
+    g = M_jj - M_ll gives Theta_jl = -M_jl / g; the step keeps the
+    anti-Hermitian part of Theta and returns the Q of qr(W (I + Theta)).
+    It removes the first-order error of W: what remains of M's
+    off-diagonal part is second order in it, or rounding."""
+    d = w.shape[0]
+    lam = np.diagonal(m, axis1=1, axis2=2)
+    gap = lam[:, :, None] - lam[:, None, :]
+    best = np.argmax(np.abs(gap), axis=0)
+    j, l = np.indices((d, d))
+    g = gap[best, j, l]
+    live = g != 0
+    theta = np.zeros((d, d), np.complex128)
+    theta[live] = -m[best, j, l][live] / g[live]
+    theta = (theta - theta.conj().T) / 2.0
+    return np.linalg.qr(w + w @ theta)[0]
 
 
 def unit_root(num: int, den: int) -> complex:

@@ -73,12 +73,17 @@ def mub_residuals(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> list:
     entries, which is exactly the controlled-Hadamard condition on the
     family scaled by sqrt(d).
     """
-    d = family.d
-    worst = 0.0
-    for i in range(d):
-        overlap = np.abs(family.bases[i].conj().T @ family.bases[i + 1:]) ** 2
-        worst = max(worst, cplx.max_abs(overlap - 1.0 / d))
+    bases = family.bases
+    worst = max(cplx.max_abs(_overlap_deviations(bases[i], bases[i + 1:])) for i in range(family.d))
     return [cplx.residual_entry("maximal_mub_overlaps", worst, tol)]
+
+
+def _overlap_deviations(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """|<a_j|b_n>|^2 - 1/d for the columns of the basis ``a`` and of each
+    basis b of the (k, d, d) stack ``rest``, as a (k, d, d) array."""
+    overlap = np.abs(a.conj().T @ rest) ** 2
+    overlap -= 1.0 / a.shape[0]
+    return overlap
 
 
 def is_maximal_mub_family(family: MubFamily, tol: float = cplx.DEFAULT_TOL) -> bool:
@@ -107,10 +112,14 @@ def mub_from_ueb(ueb, tol: float = cplx.DEFAULT_TOL, seed: int = 0) -> MubFamily
 
     ``ueb`` is a :class:`~mubkit.construct.PartitionedUeb` or anything its
     constructor accepts, and must pass the partitioned UEB laws, else
-    :class:`NotPartitionedUeb` is raised. The UEB laws are checked directly;
-    each class's commutation is certified by its own diagonalization
-    (:func:`mubkit.cplx.simultaneous_eigenbasis`), which sweeps that class
-    pairwise only when its certificate falls short. The distinguished basis
+    :class:`NotPartitionedUeb` is raised. Unitarity and the identity slot
+    are checked directly. Each class's commutation is certified by its own
+    diagonalization (the body of
+    :func:`mubkit.cplx.simultaneous_eigenbasis`), which sweeps that class
+    pairwise only when its certificate falls short. The trace law is
+    certified from the same bases and the classes' eigenvalue tables
+    (:func:`mubkit.construct.trace_law_bound`); the reference d^2 x d^2
+    Gram runs only when that bound falls short. The distinguished basis
     comes from the class stored at shift positions (plus the identity);
     when that class is already diagonal the family is in canonical form and
     the identity is returned exactly, avoiding spurious phase churn, and the

@@ -199,12 +199,21 @@ def test_laws_agree_on_float64_table_and_complex128_copy(n, kind, monkeypatch):
 def test_theta_and_eigendata_agree_on_float64_table_and_complex128_copy(n, kind, monkeypatch):
     table = law_tables(n)[kind]
     family = mub_from_ueb(table, seed=n)
+    diagonalize, drawn = cplx._diagonalize, []
+
+    def recorded(mats, *args):
+        drawn.append(mats.dtype)
+        return diagonalize(mats, *args)
+
     with monkeypatch.context() as m:
         m.setattr(cplx, "as_matrix", complex_as_matrix)
+        m.setattr(cplx, "_diagonalize", recorded)
         copy = PartitionedUeb(table.d, table.ops.astype(np.complex128))
         assert copy.ops.dtype == np.complex128
         copy_family = mub_from_ueb(copy, seed=n)
         copy_eig = eigendata(copy, seed=n) if kind == "canonical" else None
+    # the copy's classes are diagonalized in complex arithmetic
+    assert drawn and set(drawn) == {np.dtype(np.complex128)}
     assert np.array_equal(family.bases, copy_family.bases)
     assert repr(mub_residuals(family)) == repr(mub_residuals(copy_family))
     if copy_eig is not None:

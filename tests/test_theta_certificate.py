@@ -1,13 +1,16 @@
-"""θ certifies class commutation from the eigenbases it computes: each
-``cplx.simultaneous_eigenbasis`` call bounds its family's commutators
-(``cplx.commutator_bound``) and sweeps that family pairwise only when the
-bound falls short. The reference laws (``is_partitioned_ueb``,
-``cplx.commutator_residual``) are the oracle throughout."""
+"""θ certifies class commutation and the trace law from the eigenbases it
+computes: each class's diagonalization (``cplx._diagonalize``) bounds its
+family's commutators (``cplx.commutator_bound``) and sweeps that family
+pairwise only when the bound falls short, and ``construct.trace_law_bound``
+reads the trace law off the bases and eigenvalue tables, so the d^2 x d^2
+Gram runs only when that bound falls short. The reference laws
+(``is_partitioned_ueb``, ``cplx.commutator_residual``, the Gram of
+``construct.ueb_residuals``) are the oracle throughout."""
 
 import numpy as np
 import pytest
 
-from mubkit import construct, cplx
+from mubkit import cli, construct, cplx
 from mubkit.characters import additive_character_matrix
 from mubkit.construct import (
     PartitionedUeb,
@@ -16,7 +19,13 @@ from mubkit.construct import (
     is_partitioned_ueb,
     ueb_from_field,
 )
-from mubkit.errors import NotCommuting, NotPartitionedUeb, ShapeMismatch
+from mubkit.errors import (
+    DegenerateFamily,
+    NotCanonicalForm,
+    NotCommuting,
+    NotPartitionedUeb,
+    ShapeMismatch,
+)
 from mubkit.gf import new_field
 from mubkit.mub import mub_from_ueb
 
@@ -98,6 +107,89 @@ def test_certificate_bound_holds_and_theta_agrees_with_reference(d, kind):
             assert cplx.commutator_residual(members)[0] <= bound, (d, kind, eps, k)
 
 
+EPSILONS = [10.0**k for k in range(-13, -2)]
+
+
+@pytest.mark.parametrize("d", [4, 8, 9, 16, 32])
+@pytest.mark.parametrize("kind", ["field", "canonical", "haar"])
+def test_trace_law_bound_covers_the_reference(d, kind):
+    """One operator perturbed by ε times a Hermitian, ε = 1e-13 … 1e-3: the
+    identity, a distinguished-class member or a class member in turn. The
+    bound holds for any invertible W, so θ's bases of the intact table with
+    M recomputed on the perturbed one stand in where θ itself would refuse;
+    each of its entries is never below the reference Gram's residual on
+    the entries it bounds."""
+    rng = np.random.default_rng(d + len(kind))
+    base = table(d, kind, rng)
+    _, terms = construct._diagonalize_classes(base, cplx.DEFAULT_TOL, 0)
+    slots = [(0, 0), (1, 0), (d - 1, d - 1)]
+    for i, eps in enumerate([0.0] + EPSILONS):
+        ops = base.ops.astype(np.complex128)
+        ops[slots[i % 3]] += eps * random_hermitian(d, rng)
+        ueb = PartitionedUeb(d, ops)
+        identity, bound = construct.trace_law_bound(ueb, recomputed(ueb, [t[0] for t in terms]))
+        blocks = gram_blocks(ueb)
+        assert identity >= blocks[0], (d, kind, eps)
+        assert np.all(bound >= blocks[1]), (d, kind, eps)
+        assert max(identity, bound.max()) >= construct.ueb_residuals(ueb)[1]["residual"]
+        if eps == 0.0:
+            assert max(identity, bound.max()) < cplx.DEFAULT_TOL
+
+
+def recomputed(ueb, bases):
+    """_class_terms of each class of ``ueb`` in the given bases."""
+    return [construct._class_terms(w, w.conj().T @ stack @ w, stack)
+            for w, stack in zip(bases, classes(ueb))]
+
+
+def rebuilt(w, lam):
+    """Operators with eigenbasis w and eigenvalue rows lam: W diag(λ) W†."""
+    return (w * lam[:, None, :]) @ w.conj().T
+
+
+@pytest.mark.parametrize("d", [4, 9, 16])
+@pytest.mark.parametrize("kind", ["field", "haar"])
+@pytest.mark.parametrize("mutation", ["eigenvalues", "basis", "trace"])
+def test_trace_law_bound_covers_the_reference_on_rebuilt_classes(d, kind, mutation):
+    """Class x rebuilt from its exact eigenbasis, so its M is diagonal and
+    only the eigenvalue tables and overlaps carry the fault: one member's
+    eigenvalues moved by ε, the basis turned by exp(ε K), or ε I added to a
+    member of two classes (traces). W is the basis the class was rebuilt
+    from, and the bound still covers every block of the reference Gram."""
+    rng = np.random.default_rng(d)
+    base = table(d, kind, rng)
+    _, terms = construct._diagonalize_classes(base, cplx.DEFAULT_TOL, 0)
+    x = d - 1  # the class of row d - 2
+    for eps in EPSILONS:
+        ops = base.ops.astype(np.complex128)
+        w, lam = terms[x][0], terms[x][1].astype(np.complex128)
+        if mutation == "eigenvalues":
+            lam[0] += eps * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        elif mutation == "basis":
+            k = random_hermitian(d, rng)
+            w = w @ np.linalg.qr(np.eye(d) + 1j * eps * k)[0]
+        ops[x - 1, 1:] = rebuilt(w, lam)
+        if mutation == "trace":
+            ops[1, 1] += eps * np.eye(d)
+            ops[2, 1] += eps * np.eye(d)
+        ueb = PartitionedUeb(d, ops)
+        bases = [w if y == x else t[0] for y, t in enumerate(terms)]
+        identity, bound = construct.trace_law_bound(ueb, recomputed(ueb, bases))
+        blocks = gram_blocks(ueb)
+        assert identity >= blocks[0] and np.all(bound >= blocks[1]), (d, kind, mutation, eps)
+
+
+def gram_blocks(ueb):
+    """The reference Gram's residual on the identity's row, and on each
+    block of entries pairing the members of two classes."""
+    d = ueb.d
+    f = ueb.ops.reshape(d * d, d * d)
+    gram = np.abs(f.conj() @ f.T - d * np.eye(d * d)).reshape(d, d, d, d)
+    members = [(slice(1, None), 0)] + [(x, slice(1, None)) for x in range(d)]
+    blocks = np.array([[gram[a + b].max() for b in members] for a in members])
+    return gram[0, 0].max(), blocks
+
+
 @pytest.mark.parametrize("d,kind", [(4, "field"), (9, "canonical"), (16, "haar")])
 def test_certificate_bound_covers_a_planted_commutator(d, kind):
     """A class member mixed with ε times another class's member: the bound
@@ -127,9 +219,17 @@ def non_orthogonal_eigenvalue_table(d):
     return PartitionedUeb(d, ops)
 
 
-def one_perturbed_operator(d):
-    ops = table(d, "haar").ops.copy()
-    ops[2, 3] += 1e-6 * random_hermitian(d, np.random.default_rng(1))
+def one_perturbed_operator(d, eps=1e-6, kind="haar"):
+    ops = table(d, kind).ops.astype(np.complex128)
+    ops[2, 3] += eps * random_hermitian(d, np.random.default_rng(1))
+    return PartitionedUeb(d, ops)
+
+
+def one_class_repeated(d):
+    """Class 2 replaced by class 1: it still commutes, but the trace law
+    fails between the two copies."""
+    ops = table(d, "canonical").ops.copy()
+    ops[2, 1:] = ops[1, 1:]
     return PartitionedUeb(d, ops)
 
 
@@ -143,7 +243,7 @@ def planted_non_commuting_pair(d):
 
 @pytest.mark.parametrize("d", [8, 9])
 @pytest.mark.parametrize("mutate", [one_perturbed_operator, planted_non_commuting_pair,
-                                    non_orthogonal_eigenvalue_table])
+                                    non_orthogonal_eigenvalue_table, one_class_repeated])
 def test_mutations_are_refused(d, mutate):
     ueb = mutate(d)
     assert not is_partitioned_ueb(ueb)
@@ -151,6 +251,31 @@ def test_mutations_are_refused(d, mutate):
         mub_from_ueb(ueb, seed=0)
     with pytest.raises(NotPartitionedUeb):
         eigendata(ueb, seed=0)
+
+
+@pytest.mark.parametrize("d", [8, 9])
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_one_perturbed_operator_is_refused_as_the_reference_refuses(d, eps):
+    """Through both paths, θ refuses exactly the perturbed tables that
+    fail the reference laws; eigendata passes the others on to its
+    canonical-form check."""
+    for kind, passed in (("haar", NotCanonicalForm), ("canonical", None)):
+        ueb = one_perturbed_operator(d, eps, kind)
+        refused = not is_partitioned_ueb(ueb)
+        for fn in (mub_from_ueb, eigendata):
+            want = NotPartitionedUeb if refused else passed if fn is eigendata else None
+            if want is None:
+                fn(ueb, seed=0)
+            else:
+                with pytest.raises(want):
+                    fn(ueb, seed=0)
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_repeated_class_still_commutes(d):
+    ueb = one_class_repeated(d)
+    assert construct.partition_residuals(ueb)[1]["pass"]
+    assert construct.ueb_residuals(ueb)[1]["pass"] is False
 
 
 def test_non_orthogonal_eigenvalue_table_still_commutes():
@@ -167,9 +292,42 @@ def test_diagonalization_error_on_a_commuting_table_is_reraised(monkeypatch):
     def refuse(*args, **kwargs):
         raise NotCommuting("planted")
 
-    monkeypatch.setattr(cplx, "simultaneous_eigenbasis", refuse)
+    monkeypatch.setattr(cplx, "_diagonalize", refuse)
     with pytest.raises(NotCommuting, match="planted"):
         mub_from_ueb(ueb)
+
+
+def identity_class(d):
+    """The field table with every member of class 1 set to I: unitary,
+    commuting and degenerate, but the trace law fails."""
+    ops = table(d, "field").ops.copy()
+    ops[1, 1:] = np.eye(d)
+    return PartitionedUeb(d, ops)
+
+
+def test_identity_class_is_refused_through_both_paths():
+    ueb = identity_class(8)
+    assert construct.partition_residuals(ueb)[1]["pass"] and not is_partitioned_ueb(ueb)
+    for fn in (mub_from_ueb, eigendata):
+        with pytest.raises(NotPartitionedUeb):
+            fn(ueb, seed=0)
+
+
+def test_diagonalization_error_on_a_table_failing_the_trace_law_is_refused(monkeypatch):
+    """When a diagonalization raises, the reference UEB laws are checked
+    before the error is re-raised: the identity class commutes, so only
+    the trace law tells NotPartitionedUeb from DegenerateFamily."""
+    real = cplx._diagonalize
+
+    def degenerate(mats, tol, seed):
+        if np.array_equal(mats[0], np.eye(len(mats[0]))):
+            raise DegenerateFamily("planted")
+        return real(mats, tol, seed)
+
+    monkeypatch.setattr(cplx, "_diagonalize", degenerate)
+    for fn in (mub_from_ueb, eigendata):
+        with pytest.raises(NotPartitionedUeb):
+            fn(identity_class(8), seed=0)
 
 
 def test_bound_above_tol_runs_the_sweep(monkeypatch):
@@ -256,6 +414,26 @@ def test_theta_at_d32_never_sweeps(kind, monkeypatch):
     assert family.bases.shape == (33, 32, 32)
     if kind == "canonical":
         eigendata(ueb, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "haar"])
+def test_theta_at_d32_never_forms_the_gram(kind, monkeypatch, tmp_path, capsys):
+    """The trace-law certificate carries θ on the GF(2^5) tables: the
+    reference Gram is never formed, while ``verify`` still prints it."""
+    ueb = table(32, kind)
+
+    def no_gram(*args):
+        raise AssertionError("trace-law Gram formed")
+
+    with monkeypatch.context() as m:
+        m.setattr(construct, "_trace_law", no_gram)
+        assert mub_from_ueb(ueb, seed=1).bases.shape == (33, 32, 32)
+        if kind == "canonical":
+            eigendata(ueb, seed=1)
+    assert cli.main(["construct", "--p", "2", "--n", "5", "--emit", "ueb", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "ueb.json")]) == 0
+    assert "ueb_trace_law: residual 0.000e+00 PASS" in capsys.readouterr().out.splitlines()
 
 
 # -- same bases and eigenvalues as the per-class recipe --------------------------
